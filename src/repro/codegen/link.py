@@ -1,23 +1,30 @@
 """Program assembly: lay out globals, emit stubs, resolve symbols.
 
-``build_program`` turns a (possibly instrumented) IR module plus the
-runtime into a loadable :class:`Program`:
+``build_program`` turns a (possibly instrumented) IR module plus a
+:class:`RuntimeObject` into a loadable :class:`Program`:
 
 1. globals (user + runtime + string literals) are placed in the data
    segment with their alignment;
-2. every IR function is lowered by :mod:`repro.codegen.lower`;
+2. every IR function of the module is lowered by
+   :mod:`repro.codegen.lower`; the runtime's functions arrive
+   pre-lowered (:func:`lower_runtime` runs once per runtime object);
 3. assembly stubs provide the ecall veneers and platform constants
    (heap window, lock table window, shadow offset) that the mini-C
    runtime cannot express;
 4. ``_start`` programs the HWST128 CSRs (the paper: field widths and
    the shadow offset are set at the beginning of the program), calls
    ``__rt_init`` then ``main``, and exits with main's return value;
-5. call/hi/lo relocations are patched.
+5. call/hi/lo relocations are patched into fresh copies of the
+   relocated instructions, so the runtime object's code templates are
+   never written and every other instruction may be shared between the
+   template and the programs linked from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import bits
 from repro.core.config import HwstConfig
@@ -25,7 +32,8 @@ from repro.errors import LinkError
 from repro.isa import csr as csrdef
 from repro.isa.instructions import Instr, SPEC_TABLE, li_sequence
 from repro.isa.registers import A0, A7, RA, T0, ZERO
-from repro.ir.ir import Module
+from repro.ir.ir import Call, GlobalData, Module
+from repro.ir.verify import check_call_arity
 from repro.codegen.lower import CodegenOptions, compile_function
 from repro.sim.memory import DEFAULT_LAYOUT, MemoryLayout
 from repro.sim.machine import SYS_ABORT, SYS_EXIT, SYS_WRITE
@@ -171,13 +179,87 @@ def _start_code(config: HwstConfig) -> List[Instr]:
     return out
 
 
+@dataclass(frozen=True)
+class RuntimeObject:
+    """A runtime library lowered once, linked beside every user unit.
+
+    Built by :func:`lower_runtime` from a verified runtime ``Module``.
+    Nothing here depends on :class:`HwstConfig`: the config only
+    reaches ``_start`` and the assembly stubs, which are emitted per
+    program.
+    """
+
+    #: function name -> parameter count, in definition order
+    signatures: Mapping[str, int]
+    #: calls to functions the runtime does not define, in verify order:
+    #: (caller, block label, callee, argument count)
+    external_calls: Tuple[Tuple[str, str, str, int], ...]
+    globals: Tuple[GlobalData, ...]
+    #: (name, lowered code template) per function, in definition order
+    functions: Tuple[Tuple[str, Tuple[Instr, ...]], ...]
+
+    def check_unit(self, module: Module):
+        """Raise what ``module.merge(runtime)`` would: ValueError on a
+        function or global that both define."""
+        for name in self.signatures:
+            if name in module.functions:
+                raise ValueError(f"duplicate function {name!r}")
+        for data in self.globals:
+            if data.name in module.globals:
+                raise ValueError(f"duplicate global {data.name!r}")
+
+    def check_external_calls(self, module: Module):
+        """Arity-check the runtime's calls into functions ``module``
+        defines (a user ``abort``), as a whole-module verify would."""
+        arity = {name: len(fn.param_names)
+                 for name, fn in module.functions.items()}
+        for caller, label, callee, nargs in self.external_calls:
+            check_call_arity(caller, label, callee, nargs, arity)
+
+
+def lower_runtime(module: Module, options: CodegenOptions,
+                  phases=None) -> RuntimeObject:
+    """Lower a verified runtime ``module`` into a :class:`RuntimeObject`."""
+    from repro.obs.phases import NULL_PHASES
+
+    phases = phases if phases is not None else NULL_PHASES
+    external = []
+    for fn in module.functions.values():
+        for blk in fn.blocks:
+            for ins in blk.instrs:
+                if isinstance(ins, Call) and \
+                        ins.name not in module.functions:
+                    external.append((fn.name, blk.label, ins.name,
+                                     len(ins.args)))
+    with phases.phase("lower"):
+        functions = tuple((name, tuple(compile_function(fn, options)))
+                          for name, fn in module.functions.items())
+    return RuntimeObject(
+        signatures=MappingProxyType({
+            name: len(fn.param_names)
+            for name, fn in module.functions.items()}),
+        external_calls=tuple(external),
+        globals=tuple(module.globals.values()),
+        functions=functions,
+    )
+
+
+_NO_RUNTIME = RuntimeObject(MappingProxyType({}), (), (), ())
+
+
 def build_program(module: Module,
                   config: Optional[HwstConfig] = None,
                   layout: MemoryLayout = DEFAULT_LAYOUT,
                   options: Optional[CodegenOptions] = None,
                   meta: Optional[dict] = None,
-                  phases=None):
-    """Link ``module`` into an executable :class:`Program`.
+                  phases=None,
+                  runtime: Optional[RuntimeObject] = None):
+    """Link ``module`` and ``runtime`` into an executable :class:`Program`.
+
+    Functions are placed as ``_start``, the assembly stubs neither side
+    defines, ``module``'s functions, then ``runtime``'s; globals as
+    ``module``'s then ``runtime``'s. Without ``runtime``, ``module``
+    must carry the runtime itself (``Module.merge``).
 
     ``phases`` (a :class:`repro.obs.phases.PhaseTimers`) splits the
     backend wall time into the per-function ``lower`` phase and the
@@ -190,9 +272,11 @@ def build_program(module: Module,
     options = options or CodegenOptions()
     phases = phases if phases is not None else NULL_PHASES
 
+    runtime = runtime or _NO_RUNTIME
     if "main" not in module.functions:
         raise LinkError("no main() in module")
-    if "__rt_init" not in module.functions:
+    if "__rt_init" not in module.functions and \
+            "__rt_init" not in runtime.signatures:
         raise LinkError("no __rt_init() — runtime not linked in")
 
     # 1. Data segment layout.
@@ -200,7 +284,7 @@ def build_program(module: Module,
         global_addr: Dict[str, int] = {}
         cursor = layout.data_base
         blob = bytearray()
-        for data in module.globals.values():
+        for data in (*module.globals.values(), *runtime.globals):
             align = max(data.align, 8 if not data.is_string else 1)
             aligned = bits.align_up(cursor, align)
             blob += b"\x00" * (aligned - cursor)
@@ -218,11 +302,12 @@ def build_program(module: Module,
     with phases.phase("lower"):
         chunks: List[tuple] = [("_start", _start_code(config))]
         for name, code in asm_stubs(config, layout).items():
-            if name in module.functions:
+            if name in module.functions or name in runtime.signatures:
                 continue  # a runtime/user definition overrides the stub
             chunks.append((name, code))
         for name, fn in module.functions.items():
             chunks.append((name, compile_function(fn, options)))
+    chunks.extend(runtime.functions)
 
     with phases.phase("link"):
         # 3. Place sequentially.
@@ -235,7 +320,7 @@ def build_program(module: Module,
         if text_end > layout.data_base:
             raise LinkError(f"text overflows data base ({text_end:#x})")
 
-        # 4. Patch relocations.
+        # 4. Patch relocations into copies (templates stay pristine).
         for index, ins in enumerate(instrs):
             if ins.sym is None:
                 continue
@@ -244,24 +329,23 @@ def build_program(module: Module,
                 target = func_addr.get(ins.sym)
                 if target is None:
                     raise LinkError(f"undefined function {ins.sym!r}")
-                offset = target - pc
-                if not bits.fits_signed(offset, 21):
+                imm = target - pc
+                if not bits.fits_signed(imm, 21):
                     raise LinkError(f"call to {ins.sym!r} out of jal range")
-                ins.imm = offset
             elif ins.sym_kind in ("hi", "lo"):
                 addr = global_addr.get(ins.sym)
                 if addr is None:
                     raise LinkError(f"undefined global {ins.sym!r}")
                 hi = (addr + 0x800) >> 12
                 if ins.sym_kind == "hi":
-                    ins.imm = hi & 0xFFFFF
+                    imm = hi & 0xFFFFF
                 else:
-                    ins.imm = addr - (hi << 12)
+                    imm = addr - (hi << 12)
             else:
                 raise LinkError(
                     f"unresolved local label {ins.sym!r} escaped codegen")
-            ins.sym = None
-            ins.sym_kind = ""
+            instrs[index] = Instr(ins.op, ins.rd, ins.rs1, ins.rs2, imm,
+                                  comment=ins.comment)
 
     symbols = dict(func_addr)
     symbols.update(global_addr)

@@ -1,17 +1,19 @@
 """Content-addressed compile cache for sweep-style evaluation.
 
 Every figure of the paper is a sweep of (workload x scheme x config)
-cells, and most cells share compilation work: the per-scheme runtime
-unit is identical across all workloads, the front-end result of a
-workload source is identical across all schemes, and whole programs
+cells, and most cells share compilation work: the front-end result of
+a workload source is identical across all schemes, and whole programs
 repeat verbatim across experiments (fig4's baseline build is fig2's,
-abl_compression's and abl_shadow's too). :class:`CompileCache` keys
+abl_compression's and abl_shadow's too). (The per-scheme runtime
+library is shared too, but as an in-memory runtime object built once
+per process: see :func:`repro.schemes.compile.runtime_object`.)
+:class:`CompileCache` keys
 each artefact by SHA-256 of everything that can change it and stores
 *pickled* blobs, so a hit always hands back a fresh object graph that
 downstream passes may mutate freely:
 
 * **unit tier** — the front-end ``Module`` (lex/parse/sema/irgen) of
-  one translation unit, keyed by source text + unit name. Scheme- and
+  one user unit, keyed by source text + unit name. Scheme- and
   config-independent: instrumentation runs after this stage.
 * **program tier** — the fully linked ``Program``, keyed by source +
   scheme + a fingerprint of the complete :class:`HwstConfig` (any

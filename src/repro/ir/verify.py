@@ -11,8 +11,9 @@ Checks the invariants the -O0 code generator relies on:
   ``Function.block`` look labels up by exact string, so two labels that
   differ only by case silently shadow each other);
 * locals referenced by AddrLocal exist in the frame;
-* calls to in-module functions pass the right number of arguments
-  (unknown callees — runtime helpers — are skipped);
+* calls to in-module functions, and to the ``externs`` defined in a
+  separately verified object, pass the right number of arguments
+  (unknown callees — assembly stubs — are skipped);
 * optionally (``allow_unreachable=False``) no block is unreachable
   from the entry block.  The default is permissive because irgen
   deliberately emits ``dead.*`` landing blocks for statements after a
@@ -21,7 +22,7 @@ Checks the invariants the -O0 code generator relies on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.errors import IRError
 from repro.ir.ir import AddrLocal, Br, Call, Function, Jmp, Module
@@ -51,8 +52,33 @@ def unreachable_blocks(fn: Function) -> List[str]:
     return [blk.label for blk in fn.blocks if blk.label not in seen]
 
 
+def _arities(module: Optional[Module],
+              externs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
+    arity = dict(externs or {})
+    if module is not None:
+        for name, fn in module.functions.items():
+            arity[name] = len(fn.param_names)
+    return arity
+
+
+def check_call_arity(caller: str, label: str, callee: str, nargs: int,
+                     arity: Mapping[str, int]):
+    """Raise IRError when ``callee``'s definition takes other than
+    ``nargs`` parameters (callees missing from ``arity`` pass)."""
+    nparams = arity.get(callee)
+    if nparams is not None and nargs != nparams:
+        raise IRError(
+            f"{caller}/{label}: call to {callee!r} passes {nargs} "
+            f"argument(s) but its definition takes {nparams}")
+
+
 def verify_function(fn: Function, module: Optional[Module] = None, *,
-                    allow_unreachable: bool = True):
+                    allow_unreachable: bool = True,
+                    arity: Optional[Mapping[str, int]] = None):
+    """Verify ``fn``; calls are arity-checked against ``arity`` (name
+    -> parameter count), by default the functions of ``module``."""
+    if arity is None:
+        arity = _arities(module)
     labels = {blk.label for blk in fn.blocks}
     if len(labels) != len(fn.blocks):
         counts: Dict[str, int] = {}
@@ -89,14 +115,9 @@ def verify_function(fn: Function, module: Optional[Module] = None, *,
             if isinstance(ins, AddrLocal) and ins.name not in fn.locals:
                 raise IRError(
                     f"{fn.name}/{blk.label}: unknown local {ins.name!r}")
-            if isinstance(ins, Call) and module is not None:
-                callee = module.functions.get(ins.name)
-                if callee is not None and \
-                        len(ins.args) != len(callee.param_names):
-                    raise IRError(
-                        f"{fn.name}/{blk.label}: call to {ins.name!r} "
-                        f"passes {len(ins.args)} argument(s) but its "
-                        f"definition takes {len(callee.param_names)}")
+            if isinstance(ins, Call):
+                check_call_arity(fn.name, blk.label, ins.name,
+                                 len(ins.args), arity)
             if isinstance(ins, Br):
                 for target in (ins.then_label, ins.else_label):
                     if target not in labels:
@@ -137,7 +158,15 @@ def verify_function(fn: Function, module: Optional[Module] = None, *,
                 f"entry {fn.blocks[0].label!r}")
 
 
-def verify_module(module: Module, *, allow_unreachable: bool = True):
-    """Verify every function; raises IRError on the first violation."""
+def verify_module(module: Module, *, allow_unreachable: bool = True,
+                  externs: Optional[Mapping[str, int]] = None):
+    """Verify every function; raises IRError on the first violation.
+
+    ``externs`` maps functions defined outside ``module`` (the runtime
+    object it links against) to their parameter counts, so calls into
+    them are arity-checked as if both were one module.
+    """
+    arity = _arities(module, externs)
     for fn in module.functions.values():
-        verify_function(fn, module, allow_unreachable=allow_unreachable)
+        verify_function(fn, allow_unreachable=allow_unreachable,
+                        arity=arity)

@@ -95,15 +95,6 @@ class SemaResult:
     strings: Dict[str, bytes] = field(default_factory=dict)
 
 
-_STRING_COUNTER = [0]
-
-
-def _fresh_string_symbol() -> str:
-    """Process-unique string-literal symbol (units are later linked)."""
-    _STRING_COUNTER[0] += 1
-    return f"__str{_STRING_COUNTER[0]}"
-
-
 class _Scope:
     def __init__(self, parent: Optional["_Scope"] = None):
         self.parent = parent
@@ -124,8 +115,10 @@ class _Scope:
 
 
 class Analyzer:
-    def __init__(self, unit: ast.TranslationUnit):
+    def __init__(self, unit: ast.TranslationUnit,
+                 string_prefix: str = "__str"):
         self.unit = unit
+        self.string_prefix = string_prefix
         self.func_types: Dict[str, FuncType] = dict(BUILTIN_FUNCS)
         self.globals: Dict[str, ast.GlobalVar] = {}
         self.strings: Dict[str, bytes] = {}
@@ -297,7 +290,7 @@ class Analyzer:
             return LONG if abs(expr.value) > 0x7FFF_FFFF else INT
         if isinstance(expr, ast.StrLit):
             if not expr.symbol:
-                expr.symbol = _fresh_string_symbol()
+                expr.symbol = f"{self.string_prefix}{len(self.strings) + 1}"
                 self.strings[expr.symbol] = expr.value + b"\x00"
             return ArrayType(CHAR, len(expr.value) + 1)
         if isinstance(expr, ast.Ident):
@@ -505,6 +498,12 @@ class Analyzer:
         raise SemanticError(f"cannot assign {value} to {target}")
 
 
-def analyze(unit: ast.TranslationUnit) -> SemaResult:
-    """Type-check and annotate ``unit``; returns the sema tables."""
-    return Analyzer(unit).run()
+def analyze(unit: ast.TranslationUnit,
+            string_prefix: str = "__str") -> SemaResult:
+    """Type-check and annotate ``unit``; returns the sema tables.
+
+    String literals become globals ``<string_prefix>1``, ``2``, ... in
+    source order, so the names depend on the unit alone; units that are
+    linked together need distinct prefixes.
+    """
+    return Analyzer(unit, string_prefix).run()
