@@ -15,9 +15,8 @@ import json
 from repro.obs import CycleProfiler, MetricsRegistry, PhaseTimers, Tracer
 from repro.obs.metrics import format_tree
 from repro.obs.stats import derived_rates
-from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import compile_source
-from repro.sim.machine import Machine
+from repro.sim import make_machine
 from repro.workloads import WORKLOADS
 
 WORKLOAD = "treeadd"
@@ -36,8 +35,8 @@ def main():
     program = compile_source(source, SCHEME,
                              phases=PhaseTimers(metrics=metrics,
                                                 tracer=tracer))
-    machine = Machine(timing=InOrderPipeline(metrics=metrics),
-                      metrics=metrics, tracer=tracer, profiler=profiler)
+    machine = make_machine(timing=True, metrics=metrics, tracer=tracer,
+                           profiler=profiler)
     result = machine.run(program)
     if not result.ok:
         raise SystemExit(f"{WORKLOAD}/{SCHEME}: {result.status}")

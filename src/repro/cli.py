@@ -29,9 +29,8 @@ from repro.core.config import HwstConfig
 from repro.errors import (EXIT_FAILURE, EXIT_INTERRUPTED, EXIT_OK,
                           ReproError, exit_code_for, exit_code_for_status)
 from repro.harness.runner import detected
-from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import SCHEMES, compile_source
-from repro.sim.machine import Machine
+from repro.sim import make_machine
 from repro.workloads import WORKLOADS
 
 
@@ -60,8 +59,8 @@ def _result_exit_code(result) -> int:
 @contextlib.contextmanager
 def _graceful_stop():
     """Convert SIGTERM/SIGINT into a polled stop flag for the scope of
-    a campaign, so ``repro fuzz`` / ``repro faultcampaign`` flush a
-    valid truncated report (exit code 12) instead of dying mid-write.
+    a campaign, so ``repro fuzz`` / ``faultcampaign`` / ``conform``
+    flush a valid truncated report (exit code 12) instead of dying mid-write.
     A second SIGINT restores default handling (immediate kill escape
     hatch). Yields the flag callable the campaigns poll."""
     state = {"stop": False}
@@ -126,10 +125,7 @@ def cmd_run(args) -> int:
         phases = PhaseTimers(metrics=metrics, tracer=tracer)
     program = compile_source(source, args.scheme, _config(args),
                              phases=phases)
-    from repro.sim import make_machine
-
-    timing = None if args.no_timing else InOrderPipeline(metrics=metrics)
-    machine = make_machine(args.engine, timing=timing,
+    machine = make_machine(args.engine, timing=not args.no_timing,
                            trace_depth=args.trace, metrics=metrics,
                            tracer=tracer, profiler=profiler)
     result = machine.run(program, max_instructions=args.max_instructions)
@@ -182,8 +178,7 @@ def cmd_stats(args) -> int:
     phases = PhaseTimers(metrics=metrics)
     program = compile_source(source, args.scheme, _config(args),
                              phases=phases)
-    timing = None if args.no_timing else InOrderPipeline(metrics=metrics)
-    machine = Machine(timing=timing, metrics=metrics)
+    machine = make_machine(timing=not args.no_timing, metrics=metrics)
     result = machine.run(program, max_instructions=args.max_instructions)
     print(f"{args.file} under {args.scheme}: {result.status} "
           f"({result.instret} instructions, {result.cycles} cycles)")
@@ -402,14 +397,17 @@ def cmd_conform(args) -> int:
             print(f"error: unknown workloads {missing}; known: "
                   f"{sorted(WORKLOADS)}", file=sys.stderr)
             return 2
-    with SweepExecutor(jobs=args.jobs) as executor:
+    with SweepExecutor(jobs=args.jobs) as executor, \
+            _graceful_stop() as stop:
         report = run_conform(
             workloads=workloads, schemes=schemes, scale=args.scale,
             fuzz_count=args.fuzz_count, seed=args.seed,
             equiv=not args.skip_equiv, lockstep=not args.skip_lockstep,
             max_instructions=args.max_instructions,
-            heartbeat_s=args.heartbeat, registry=executor.registry,
-            executor=executor)
+            registry=executor.registry, executor=executor,
+            heartbeat=_heartbeat(args, total=0, label="conform",
+                                 executor=executor),
+            stop=stop)
         summary = executor.summary()
     totals = report["totals"]
     print(f"conform: {totals['cells']} cells, "
@@ -426,6 +424,10 @@ def cmd_conform(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(report_to_json(report))
         print(f"report -> {args.out}")
+    if report.get("interrupted"):
+        print(f"interrupted after {report['completed']} cells; "
+              "truncated report is valid", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_SPEC_DIVERGENCE if divergences_of(report) else EXIT_OK
 
 
@@ -535,6 +537,9 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim import DEFAULT_ENGINE, ENGINES
+
+    engines = sorted(ENGINES)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HWST128 reproduction tool chain")
@@ -548,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--elide-checks", action="store_true",
                        help="statically remove proven-redundant checks")
     run_p.add_argument("--no-timing", action="store_true")
-    run_p.add_argument("--engine", default="ref", choices=("ref", "fast"),
+    run_p.add_argument("--engine", default=DEFAULT_ENGINE, choices=engines,
                        help="execution core: 'ref' (per-instruction "
                        "reference interpreter) or 'fast' (translation-"
                        "cached superblock interpreter; same observables)")
@@ -767,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--tolerance", type=float, default=25.0,
                          metavar="PCT",
                          help="median wall-time slowdown gate")
-    bench_p.add_argument("--engine", default="ref",
-                         choices=("ref", "fast"),
+    bench_p.add_argument("--engine", default=DEFAULT_ENGINE,
+                         choices=engines,
                          help="execution core for workload scenarios "
                          "(the envelope records it)")
     bench_p.add_argument("--min-wall", type=float, default=2.0,

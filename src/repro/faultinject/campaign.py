@@ -50,6 +50,7 @@ from repro.faultinject.oracle import (
     CLASSES, CRASH, HANG, RunProfile, classify, golden_run, profile_run,
 )
 from repro.faultinject.targets import DEFAULT_TARGETS, TARGETS
+from repro.sim import make_machine
 
 __all__ = ["InjectionCell", "CampaignReport", "plan_campaign",
            "run_campaign", "REPORT_SCHEMA"]
@@ -60,11 +61,6 @@ REPORT_SCHEMA = "repro.faultinject/v1"
 #: that a detoured-but-terminating run finishes, tight enough that a
 #: genuinely wedged run is caught quickly.
 _STEP_SLACK = 50_000
-
-#: Cells per executor submission when a ``stop`` flag is wired in —
-#: the granularity at which an interrupt takes effect. Kept a multiple
-#: of the default target count so chunks retain target grouping.
-_STOP_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,6 @@ class InjectionCell:
 
     def execute(self) -> CellResult:
         """Compile (cached), inject, run, classify. Runs in the worker."""
-        from repro.sim.machine import Machine
-
         config = self.config or HwstConfig()
         program = process_cache().compile(self.source, self.scheme,
                                           config)
@@ -111,7 +105,7 @@ class InjectionCell:
             # The cache hands back a fresh object graph — mutating the
             # program cannot leak into other cells.
             note = apply_link_fault(program, self.fault)
-        machine = Machine(config=config, timing=None)
+        machine = make_machine(config=config)
         if self.fault.kind not in LINK_KINDS:
             injector = RuntimeInjector(self.fault)
             machine.fault_hook = injector
@@ -270,11 +264,9 @@ def run_campaign(scheme: str = "hwst128",
     passes silently or aborts loudly.
 
     ``stop`` (optional zero-argument callable) makes the campaign
-    interruptible: cells run in chunks of ``_STOP_CHUNK`` and the flag
-    is polled at every chunk boundary; once it returns True the report
-    is finalised over the completed prefix with ``interrupted=True``.
-    Without ``stop`` all cells go to the executor in one submission,
-    exactly as before.
+    interruptible (see :func:`~repro.harness.parallel.run_cells`); once
+    it returns True the report is finalised over the completed prefix
+    with ``interrupted=True``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1: {n}")
@@ -296,7 +288,7 @@ def run_campaign(scheme: str = "hwst128",
             fast = golden_run(TARGETS[name], scheme, config,
                               engine="fast")
             ref = goldens[name]
-            if not (ref.matches(fast) and ref.instret == fast.instret):
+            if not ref.identical(fast):
                 raise ReproError(
                     f"engine lockstep failed on golden {name!r}/"
                     f"{scheme}: ref {ref.status}/exit={ref.exit_code}/"
@@ -312,27 +304,13 @@ def run_campaign(scheme: str = "hwst128",
             config=config, wallclock_budget=wallclock_budget)
         for index, (target, fault) in enumerate(plan)
     ]
-    interrupted = False
-    if stop is None:
-        progress = None
-        if heartbeat is not None:
-            def progress(done, _total):
-                heartbeat.tick(done, phase="inject")
-        results = run_cells(cells, executor=executor, jobs=jobs,
-                            progress=progress)
-    else:
-        results = []
-        for start in range(0, len(cells), _STOP_CHUNK):
-            if stop():
-                interrupted = True
-                break
-            progress = None
-            if heartbeat is not None:
-                def progress(done, _total, _base=start):
-                    heartbeat.tick(_base + done, phase="inject")
-            results.extend(run_cells(
-                cells[start:start + _STOP_CHUNK],
-                executor=executor, jobs=jobs, progress=progress))
+    progress = None
+    if heartbeat is not None:
+        def progress(done, _total):
+            heartbeat.tick(done, phase="inject")
+    results = run_cells(cells, executor=executor, jobs=jobs,
+                        progress=progress, stop=stop)
+    interrupted = len(results) < len(cells)
 
     scoreboard = {cls: 0 for cls in CLASSES}
     by_kind = {kind: {cls: 0 for cls in CLASSES} for kind in kinds}

@@ -32,10 +32,12 @@ campaigns produce byte-identical scoreboards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Tuple
 
 from repro.core.config import HwstConfig
+from repro.obs.profiler import CycleProfiler
+from repro.sim import make_machine
 from repro.sim.machine import Machine, STATUS_LIMIT, STATUS_SPATIAL, \
     STATUS_TEMPORAL
 
@@ -64,6 +66,9 @@ class RunProfile:
     trap_class: str
     trap_pc: Optional[int]
     instret: int
+    #: Functions that retired an instruction (``coverage`` runs only;
+    #: never compared or reported).
+    functions: Tuple[str, ...] = field(default=(), compare=False)
 
     def matches(self, other: "RunProfile") -> bool:
         """Observably identical (instret intentionally *excluded*: a
@@ -75,6 +80,11 @@ class RunProfile:
                 and self.heap_digest == other.heap_digest
                 and self.trap_class == other.trap_class
                 and self.trap_pc == other.trap_pc)
+
+    def identical(self, other: "RunProfile") -> bool:
+        """:meth:`matches` plus the same instret: the bar for two
+        executions of one build (ref vs fast, ISS vs pipeline)."""
+        return self.matches(other) and self.instret == other.instret
 
     def to_dict(self) -> dict:
         return {
@@ -110,24 +120,32 @@ def profile_run(machine: Machine, result) -> RunProfile:
 def golden_run(source: str, scheme: str,
                config: Optional[HwstConfig] = None,
                max_instructions: int = 50_000_000,
-               cache=None, engine: str = "ref") -> RunProfile:
-    """Compile + run ``source`` uninjected and profile the outcome.
+               cache=None, engine: Optional[str] = None,
+               timing: bool = False,
+               coverage: bool = False) -> RunProfile:
+    """Compile (process cache) + run ``source`` uninjected and profile
+    the outcome.
 
-    Untimed (``timing=None``) — the oracle compares architectural
-    state, and injected runs use the same machine construction so the
-    comparison is apples-to-apples. ``engine`` selects the execution
-    core; the campaign's opt-in lockstep check re-runs each golden on
-    the fast engine and demands an identical profile.
+    Untimed by default — the oracle compares architectural state, and
+    injected runs use the same machine construction. ``timing`` adds
+    the pipeline model; ``coverage`` fills :attr:`RunProfile.functions`
+    from a cycle profiler. ``engine`` None is the default engine.
     """
     from repro.harness.compile_cache import process_cache
-    from repro.sim import make_machine
 
     config = config or HwstConfig()
     cache = cache if cache is not None else process_cache()
     program = cache.compile(source, scheme, config)
-    machine = make_machine(engine, config=config, timing=None)
+    profiler = CycleProfiler() if coverage else None
+    machine = make_machine(engine, config=config, timing=timing,
+                           profiler=profiler)
     result = machine.run(program, max_instructions=max_instructions)
-    return profile_run(machine, result)
+    profile = profile_run(machine, result)
+    if profiler is None:
+        return profile
+    return replace(profile, functions=tuple(sorted(
+        fn.name for fn in profiler.report(program).functions
+        if fn.name != "?")))
 
 
 def classify(golden: RunProfile, injected: RunProfile) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
-from repro.faultinject.oracle import RunProfile, profile_run
+from repro.faultinject.oracle import RunProfile, golden_run
 from repro.sim.machine import (
     STATUS_EXIT, STATUS_LIMIT, STATUS_SPATIAL, STATUS_TEMPORAL,
 )
@@ -104,23 +104,6 @@ class ProgramProbe:
     spec: Optional[dict] = None
 
 
-def _profile(cache, source: str, scheme: str, config: HwstConfig,
-             max_instructions: int, timed: bool = False,
-             profiler=None, engine: str = "ref"
-             ) -> Tuple[RunProfile, object]:
-    from repro.sim import make_machine
-
-    program = cache.compile(source, scheme, config)
-    timing = None
-    if timed:
-        from repro.pipeline.timing import InOrderPipeline
-        timing = InOrderPipeline()
-    machine = make_machine(engine, config=config, timing=timing,
-                           profiler=profiler)
-    result = machine.run(program, max_instructions=max_instructions)
-    return profile_run(machine, result), program
-
-
 def probe_program(source: str,
                   schemes: Sequence[str] = DEFAULT_SCHEMES,
                   config: Optional[HwstConfig] = None,
@@ -149,49 +132,37 @@ def probe_program(source: str,
 
     cache = cache if cache is not None else process_cache()
     config = config or HwstConfig()
+
+    def run(scheme, run_config=config, **kwargs) -> RunProfile:
+        return golden_run(source, scheme, run_config, max_instructions,
+                          cache, **kwargs)
+
     profiles: Dict[str, RunProfile] = {}
     for scheme in schemes:
-        profiles[scheme], _ = _profile(cache, source, scheme, config,
-                                       max_instructions)
+        # The engine oracle's partner is the reference engine by name,
+        # whatever the default engine is.
+        pinned = "ref" if engine_lockstep and scheme == "hwst128" else None
+        profiles[scheme] = run(scheme, engine=pinned)
     functions: Tuple[str, ...] = ()
     spec_record: Optional[dict] = None
     if "hwst128" in schemes:
         if engine_lockstep:
-            profiles["hwst128@fast"], _ = _profile(
-                cache, source, "hwst128", config, max_instructions,
-                engine="fast")
+            profiles["hwst128@fast"] = run("hwst128", engine="fast")
         if spec_lockstep:
-            from repro.sim import make_machine
-            from repro.spec.lockstep import run_lockstep
+            from repro.harness.conform import run_spec_lockstep
 
-            program = cache.compile(source, "hwst128", config)
-            machine = make_machine("ref", config=config, timing=None)
-            widths = config.widths
-            lockstep = run_lockstep(
-                machine, program,
-                widths=(widths.base, widths.range, widths.lock,
-                        widths.key),
-                lock_base=config.lock_base,
-                shadow_budget=config.shadow_budget,
-                max_instructions=max_instructions)
+            lockstep = run_spec_lockstep(
+                cache.compile(source, "hwst128", config), config,
+                max_instructions)
             spec_record = {
                 "divergence": lockstep.divergence,
                 "status": lockstep.outcome.status,
                 "retires": lockstep.retires,
             }
-        profiles["hwst128@alt"], _ = _profile(
-            cache, source, "hwst128", alt_config(config), max_instructions)
-        profiler = None
-        if collect_coverage:
-            from repro.obs.profiler import CycleProfiler
-            profiler = CycleProfiler()
-        profiles["hwst128@timed"], program = _profile(
-            cache, source, "hwst128", config, max_instructions,
-            timed=True, profiler=profiler)
-        if profiler is not None:
-            report = profiler.report(program)
-            functions = tuple(sorted(
-                fn.name for fn in report.functions if fn.name != "?"))
+        profiles["hwst128@alt"] = run("hwst128", alt_config(config))
+        timed = run("hwst128", timing=True, coverage=collect_coverage)
+        profiles["hwst128@timed"] = timed
+        functions = timed.functions
     lint = analyze_source(source, "fuzz", config)
     lint_kinds = tuple(sorted({f.kind for f in lint.errors()}))
     return ProgramProbe(profiles=profiles, lint_kinds=lint_kinds,
@@ -295,7 +266,7 @@ def classify_program(kind: str, expect: str, probe: ProgramProbe,
     timing_verdict = "agree"
     if "hwst128" in profiles and "hwst128@timed" in profiles:
         a, b = profiles["hwst128"], profiles["hwst128@timed"]
-        if not (a.matches(b) and a.instret == b.instret):
+        if not a.identical(b):
             timing_verdict = "divergence"
             divergences.append(Divergence(
                 "timing", "iss_pipeline_mismatch",
@@ -314,7 +285,7 @@ def classify_program(kind: str, expect: str, probe: ProgramProbe,
     # engine profile, so default campaign reports stay byte-identical.
     if "hwst128" in profiles and "hwst128@fast" in profiles:
         a, b = profiles["hwst128"], profiles["hwst128@fast"]
-        if a.matches(b) and a.instret == b.instret:
+        if a.identical(b):
             verdicts["engine"] = "agree"
         else:
             verdicts["engine"] = "divergence"

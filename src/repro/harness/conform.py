@@ -21,7 +21,8 @@ timestamps or host state, so same-seed runs are byte-identical at any
 
 Divergence is *data* here (campaigns complete and report), and becomes
 an exit code only at the CLI (``repro conform`` exits
-``EXIT_SPEC_DIVERGENCE``).
+``EXIT_SPEC_DIVERGENCE``). Like the other campaigns it is
+interruptible: a ``stop`` flag yields a valid truncated report.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
 from repro.harness.compile_cache import process_cache
-from repro.harness.parallel import CellResult, SweepExecutor
+from repro.harness.parallel import CellResult, SweepExecutor, run_cells
 from repro.harness.runner import WORKLOADS
 from repro.isa.instructions import SPEC_TABLE
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import make_machine
 from repro.spec import geometry
 from repro.spec.equiv import all_mnemonics, run_mnemonic
 from repro.spec.lockstep import classify_trap, run_lockstep
@@ -56,13 +58,21 @@ FUZZ_SCHEME = "hwst128"
 __all__ = [
     "REPORT_SCHEMA", "DEFAULT_SEED", "CONFORM_SCHEMES", "EquivBench",
     "ConformEquivCell", "ConformLockstepCell", "build_cells",
-    "run_conform", "report_to_json", "divergences_of",
+    "run_conform", "run_spec_lockstep", "report_to_json",
+    "divergences_of",
 ]
 
 
-def widths_of(config: HwstConfig) -> Tuple[int, int, int, int]:
+def run_spec_lockstep(program, config: HwstConfig,
+                      max_instructions: int):
+    """Co-simulate ``program`` against the executable spec on the
+    reference engine (by name, never the default engine)."""
     w = config.widths
-    return (w.base, w.range, w.lock, w.key)
+    return run_lockstep(
+        make_machine("ref", config=config), program,
+        widths=(w.base, w.range, w.lock, w.key),
+        lock_base=config.lock_base, shadow_budget=config.shadow_budget,
+        max_instructions=max_instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +87,10 @@ class EquivBench:
     starts from reset with exactly one instruction at ``text_base``.
     """
 
-    def __init__(self, engine: str = "ref"):
-        self.engine = engine
+    def __init__(self):
         self._machines: Dict[int, object] = {}
 
     def machine_for(self, geom: int, ins):
-        from repro.sim import make_machine
         from repro.sim.memory import DEFAULT_LAYOUT
         from repro.sim.program import Program
 
@@ -92,7 +100,7 @@ class EquivBench:
             config = HwstConfig(
                 widths=FieldWidths(*widths),
                 lock_entries=min(1 << widths[2], 1 << 20))
-            machine = make_machine(self.engine, config=config, timing=None)
+            machine = make_machine("ref", config=config)
             self._machines[geom] = machine
         program = Program(instrs=[ins], entry=DEFAULT_LAYOUT.text_base)
         machine.load(program)
@@ -105,7 +113,6 @@ class ConformEquivCell:
 
     mnemonic: str
     seed: int
-    engine: str = "ref"
 
     @property
     def tag(self) -> str:
@@ -124,7 +131,7 @@ class ConformEquivCell:
         return self.tag
 
     def execute(self) -> CellResult:
-        bench = EquivBench(self.engine)
+        bench = EquivBench()
         result = run_mnemonic(self.mnemonic, self.seed, bench)
         divergences = result["divergences"]
         return CellResult(
@@ -151,7 +158,6 @@ class ConformLockstepCell:
     source: str
     scheme: str
     workload: Optional[str] = None
-    engines: Tuple[str, ...] = ("ref", "fast")
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
 
     @property
@@ -159,19 +165,12 @@ class ConformLockstepCell:
         return self.workload or self.tag
 
     def execute(self) -> CellResult:
-        from repro.sim import make_machine
-
         config = HwstConfig()
         program = process_cache().compile(self.source, self.scheme, config)
-        machine = make_machine("ref", config=config, timing=None)
-        result = run_lockstep(
-            machine, program, widths=widths_of(config),
-            lock_base=config.lock_base,
-            shadow_budget=config.shadow_budget,
-            max_instructions=self.max_instructions)
+        result = run_spec_lockstep(program, config, self.max_instructions)
         divergence = result.divergence
         outcome = result.outcome
-        if divergence is None and "fast" in self.engines:
+        if divergence is None:
             fast_deltas = self._compare_fast(config, program, outcome)
             if fast_deltas:
                 divergence = {"reason": "fast-engine mismatch",
@@ -196,9 +195,7 @@ class ConformLockstepCell:
     def _compare_fast(self, config, program, outcome) -> List[dict]:
         """Run the fast engine end-to-end and diff the run-level
         observables against the spec/reference agreed outcome."""
-        from repro.sim import make_machine
-
-        fast = make_machine("fast", config=config, timing=None)
+        fast = make_machine("fast", config=config)
         try:
             rr = fast.run(program, max_instructions=self.max_instructions)
         except Exception as exc:  # noqa: BLE001 — classified below
@@ -340,27 +337,33 @@ def run_conform(workloads: Optional[Sequence[str]] = None,
                 equiv: bool = True,
                 lockstep: bool = True,
                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                heartbeat_s: float = 15.0,
                 registry: Optional[MetricsRegistry] = None,
-                heartbeat_stream=None,
-                executor: Optional[SweepExecutor] = None) -> dict:
+                executor: Optional[SweepExecutor] = None,
+                heartbeat: Optional[Heartbeat] = None,
+                stop=None) -> dict:
     """Run the conformance campaign; returns the ``repro.spec/v1``
     report (divergence is data here, the CLI turns it into an exit
-    code). Byte-identical for a fixed seed at any ``jobs``."""
+    code). Byte-identical for a fixed seed at any ``jobs``.
+
+    ``heartbeat`` (its ``total`` becomes the cell count) gets progress
+    ticks. Once ``stop`` (see :func:`~repro.harness.parallel.run_cells`)
+    fires, the report covers the completed cells and carries
+    ``interrupted``/``completed`` — keys a complete report never has.
+    """
     registry = registry if registry is not None else MetricsRegistry()
     cells = build_cells(workloads=workloads, schemes=schemes, scale=scale,
                         fuzz_count=fuzz_count, seed=seed, equiv=equiv,
                         lockstep=lockstep,
                         max_instructions=max_instructions)
-    heartbeat = Heartbeat(total=len(cells), label="conform",
-                          interval_s=heartbeat_s, stream=heartbeat_stream,
-                          metrics=registry)
+    progress = None
+    if heartbeat is not None:
+        heartbeat.total = len(cells)
+        progress = heartbeat.progress
     own_executor = executor is None
     if executor is None:
         executor = SweepExecutor(jobs=jobs, registry=registry)
     try:
-        results = executor.run(
-            cells, progress=lambda done, total: heartbeat.tick(done))
+        results = run_cells(cells, executor, progress=progress, stop=stop)
     finally:
         if own_executor:
             executor.close()
@@ -375,6 +378,9 @@ def run_conform(workloads: Optional[Sequence[str]] = None,
         "max_instructions": max_instructions,
     }
     report = _fold_report(cells, results, seed=seed, corpus=corpus)
+    if len(results) < len(cells):
+        report["interrupted"] = True
+        report["completed"] = len(results)
     scope = registry.scope("spec")
     scope.counter("retires").inc(report["totals"]["retires"])
     scope.counter("divergences").inc(report["totals"]["divergences"])

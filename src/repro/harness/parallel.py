@@ -52,11 +52,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import HwstConfig
 from repro.harness.compile_cache import process_cache
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.pipeline.timing import TimingParams
+from repro.sim import make_machine
 
 __all__ = ["CellSpec", "CellResult", "SweepExecutor", "run_cells",
-           "WallclockTimeout", "wallclock_guard", "DeadlineGuard",
-           "STATUS_HANG", "STATUS_WORKER_DIED"]
+           "STOP_CHUNK", "WallclockTimeout", "wallclock_guard",
+           "DeadlineGuard", "STATUS_HANG", "STATUS_WORKER_DIED"]
 
 #: Envelope statuses minted by the executor itself (never by the
 #: simulator): the per-cell watchdog fired / the worker process died
@@ -201,7 +201,6 @@ class CellSpec:
     scale: str = "default"
     config: Optional[HwstConfig] = None
     timing: bool = True
-    timing_params: Optional[TimingParams] = None
     max_instructions: int = 200_000_000
     # Per-cell wallclock watchdog (seconds); None leaves only the
     # deterministic step budget above. See wallclock_guard().
@@ -287,8 +286,6 @@ def _spec_identity(spec) -> Tuple[str, Optional[str], str]:
 
 def _run_cellspec(spec: CellSpec) -> CellResult:
     """The classic compile-and-simulate cell body (may raise)."""
-    from repro.pipeline.timing import InOrderPipeline
-    from repro.sim.machine import Machine
     from repro.workloads import WORKLOADS
 
     if spec.source is not None:
@@ -304,9 +301,8 @@ def _run_cellspec(spec: CellSpec) -> CellResult:
     registry = MetricsRegistry() if spec.collect_registry else None
     program = process_cache().compile(source, spec.scheme, config,
                                       metrics=registry)
-    pipeline = InOrderPipeline(spec.timing_params, metrics=registry) \
-        if spec.timing else None
-    machine = Machine(config=config, timing=pipeline, metrics=registry)
+    machine = make_machine(config=config, timing=spec.timing,
+                           metrics=registry)
     result = machine.run(program,
                          max_instructions=spec.max_instructions)
     return CellResult(
@@ -531,13 +527,38 @@ class SweepExecutor:
         return line
 
 
+#: Cells per submission under a ``stop`` flag (see :func:`run_cells`);
+#: a multiple of the fault campaign's target count, keeping grouping.
+STOP_CHUNK = 16
+
+
 def run_cells(cells: Sequence[CellSpec],
               executor: Optional[SweepExecutor] = None,
               jobs: int = 1,
               progress: Optional[Callable[[int, int], None]] = None,
+              stop: Optional[Callable[[], bool]] = None,
               ) -> List[CellResult]:
-    """Run cells on ``executor``, or a transient one (closed after)."""
-    if executor is not None:
+    """Run cells on ``executor``, or a transient one (closed after).
+
+    With ``stop`` (a zero-argument flag, e.g. set by a SIGTERM handler)
+    cells go in chunks of :data:`STOP_CHUNK`; the flag is polled before
+    each, and once True only the completed prefix's results return.
+    """
+    if executor is None:
+        with SweepExecutor(jobs=jobs) as transient:
+            return run_cells(cells, transient, progress=progress,
+                             stop=stop)
+    if stop is None:
         return executor.run(cells, progress=progress)
-    with SweepExecutor(jobs=jobs) as transient:
-        return transient.run(cells, progress=progress)
+    cells = list(cells)
+    results: List[CellResult] = []
+    for start in range(0, len(cells), STOP_CHUNK):
+        if stop():
+            break
+        chunk_progress = None
+        if progress is not None:
+            def chunk_progress(done, _total, _base=start):
+                progress(_base + done, len(cells))
+        results.extend(executor.run(cells[start:start + STOP_CHUNK],
+                                    progress=chunk_progress))
+    return results

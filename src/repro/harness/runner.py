@@ -7,10 +7,10 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import HwstConfig
-from repro.pipeline.timing import InOrderPipeline, TimingParams
 from repro.schemes import compile_source
+from repro.sim import make_machine
 from repro.sim.machine import (
-    Machine, RunResult, STATUS_ABORT, STATUS_FAULT, STATUS_SPATIAL,
+    RunResult, STATUS_ABORT, STATUS_FAULT, STATUS_SPATIAL,
     STATUS_TEMPORAL,
 )
 from repro.workloads import WORKLOADS
@@ -19,41 +19,35 @@ from repro.workloads import WORKLOADS
 def run_program(source: str, scheme: str,
                 config: Optional[HwstConfig] = None,
                 timing: bool = True,
-                timing_params: Optional[TimingParams] = None,
                 max_instructions: int = 200_000_000,
                 metrics=None, tracer=None, profiler=None,
-                phases=None, cache=None,
-                engine: str = "ref") -> RunResult:
-    """Compile + execute one program under one scheme.
+                cache=None, engine: Optional[str] = None) -> RunResult:
+    """Compile + execute one program under one scheme — the package's
+    one compile-and-run helper.
 
-    Observability hooks (``metrics``/``tracer``/``profiler``/compile
-    ``phases``) are optional and off by default; when a shared
-    registry is passed, compile-phase, simulator and pipeline metrics
-    all land in the same snapshot (``RunResult.metrics``).
+    Observability hooks (``metrics``/``tracer``/``profiler``) are
+    optional and off by default; when a shared registry is passed,
+    compile-phase, simulator and pipeline metrics all land in the same
+    snapshot (``RunResult.metrics``).
 
     ``cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
-    reuses an identical compiled ``Program`` instead of rebuilding it;
-    a custom ``phases`` object is ignored on that path (the cache
-    times only work it actually performs).
+    reuses an identical compiled ``Program`` instead of rebuilding it.
 
-    ``engine`` selects the execution core (``ref`` | ``fast``, see
-    :func:`repro.sim.make_machine`); every architecturally visible
-    outcome is engine-independent.
+    ``engine`` selects the execution core (``ref`` | ``fast``; None is
+    :data:`repro.sim.DEFAULT_ENGINE`, see :func:`repro.sim.make_machine`);
+    every architecturally visible outcome is engine-independent.
     """
-    from repro.sim import make_machine
-
     config = config or HwstConfig()
     if cache is not None:
         program = cache.compile(source, scheme, config,
                                 metrics=metrics, tracer=tracer)
     else:
-        if phases is None and metrics is not None:
+        phases = None
+        if metrics is not None:
             from repro.obs.phases import PhaseTimers
             phases = PhaseTimers(metrics=metrics, tracer=tracer)
         program = compile_source(source, scheme, config, phases=phases)
-    pipeline = InOrderPipeline(timing_params, metrics=metrics) \
-        if timing else None
-    machine = make_machine(engine, config=config, timing=pipeline,
+    machine = make_machine(engine, config=config, timing=timing,
                            metrics=metrics, tracer=tracer,
                            profiler=profiler)
     return machine.run(program, max_instructions=max_instructions)
@@ -74,7 +68,7 @@ def timed_run(source: str, scheme: str,
               timing: bool = True,
               max_instructions: int = 200_000_000,
               profile: bool = False,
-              engine: str = "ref") -> Tuple[RunResult, Dict]:
+              engine: Optional[str] = None) -> Tuple[RunResult, Dict]:
     """One *measured* compile+run: the bench runner's unit of work.
 
     Compiles without any cache (so compile-phase wall time is real
@@ -98,14 +92,12 @@ def timed_run(source: str, scheme: str,
     from repro.obs.host import gc_collections, peak_rss_kb
     from repro.obs.phases import PhaseTimers
     from repro.obs.profiler import CycleProfiler
-    from repro.sim import make_machine
 
     config = config or HwstConfig()
     phases = PhaseTimers()
     program = compile_source(source, scheme, config, phases=phases)
     profiler = CycleProfiler() if profile else None
-    pipeline = InOrderPipeline() if timing else None
-    machine = make_machine(engine, config=config, timing=pipeline,
+    machine = make_machine(engine, config=config, timing=timing,
                            profiler=profiler)
     # Measurement isolation: drain the cyclic collector (the previous
     # rep's dead machine and this rep's compile garbage otherwise pay

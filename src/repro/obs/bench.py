@@ -129,8 +129,14 @@ def _band(samples: Sequence[float], digits: int = 4) -> Dict[str, object]:
 # Scenario execution
 # ---------------------------------------------------------------------------
 
+def _engine_name(engine: Optional[str]) -> str:
+    from repro import sim
+
+    return sim.DEFAULT_ENGINE if engine is None else engine
+
+
 def _run_workload_scenario(scenario: BenchScenario, reps: int,
-                           engine: str = "ref") -> dict:
+                           engine: str) -> dict:
     from repro.harness.runner import timed_run
     from repro.workloads import WORKLOADS
 
@@ -234,18 +240,19 @@ def _run_campaign_scenario(scenario: BenchScenario, reps: int,
 
 
 def run_scenario(scenario: BenchScenario, reps: int = 3,
-                 seed: int = 7, engine: str = "ref") -> dict:
+                 seed: int = 7, engine: Optional[str] = None) -> dict:
     """Run one scenario ``reps`` times; returns its envelope entry.
 
-    ``engine`` selects the execution core for *workload* scenarios
-    (the deterministic subtree is engine-independent by the lockstep
-    contract, so only the measured bands move). Campaign smokes always
-    run their own orchestration and ignore it.
+    ``engine`` (None: the default engine) selects the execution core
+    for *workload* scenarios (the deterministic subtree is
+    engine-independent by the lockstep contract, so only the measured
+    bands move). Campaign smokes run their own orchestration.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1: {reps}")
     if scenario.kind == "workload":
-        return _run_workload_scenario(scenario, reps, engine=engine)
+        return _run_workload_scenario(scenario, reps,
+                                      engine=_engine_name(engine))
     return _run_campaign_scenario(scenario, reps, seed)
 
 
@@ -255,20 +262,22 @@ def run_scenario(scenario: BenchScenario, reps: int = 3,
 
 def run_bench(scenarios: Optional[Sequence[str]] = None,
               reps: int = 3, seed: int = 7, quick: bool = False,
-              engine: str = "ref",
+              engine: Optional[str] = None,
               progress: Optional[Callable[[str, int, int], None]] = None,
               ) -> dict:
     """Run the bench suite and build the ``repro.bench/v1`` envelope.
 
     ``scenarios`` selects by name (default: the full registry, or the
     ``--quick`` subset). ``engine`` selects the workload-scenario
-    execution core (``ref`` | ``fast``); the envelope records it.
+    execution core (``ref`` | ``fast``, None: the default); the envelope
+    records it.
     ``progress(name, index, total)`` is called before each scenario
     starts (the CLI prints a status line).
     """
     import platform
     import sys as _sys
 
+    engine = _engine_name(engine)
     names = list(scenarios) if scenarios else scenario_names(quick)
     unknown = [name for name in names if name not in SCENARIOS]
     if unknown:

@@ -16,11 +16,6 @@ Available schemes (the paper's Figures 4-6 cast):
 ==============  ============================================================
 """
 
-from repro.schemes.compile import (
-    SCHEMES,
-    compile_source,
-    run_source,
-    scheme_names,
-)
+from repro.schemes.compile import SCHEMES, compile_source, scheme_names
 
-__all__ = ["SCHEMES", "compile_source", "run_source", "scheme_names"]
+__all__ = ["SCHEMES", "compile_source", "scheme_names"]

@@ -16,8 +16,6 @@ from repro.ir.verify import verify_module
 from repro.minic import analyze, tokenize
 from repro.minic.parser import Parser
 from repro.obs.phases import NULL_PHASES
-from repro.pipeline.timing import InOrderPipeline, TimingParams
-from repro.sim.machine import Machine, RunResult
 from repro.sim.memory import DEFAULT_LAYOUT
 
 
@@ -235,32 +233,3 @@ def compile_source(source: str, scheme: str = "baseline",
     return build_program(module, config=config, layout=DEFAULT_LAYOUT,
                          options=options, meta=meta, phases=phases,
                          runtime=runtime)
-
-
-def run_source(source: str, scheme: str = "baseline",
-               config: Optional[HwstConfig] = None,
-               timing: bool = True,
-               timing_params: Optional[TimingParams] = None,
-               max_instructions: int = 200_000_000,
-               program_name: str = "program",
-               metrics=None, tracer=None, profiler=None,
-               phases=None) -> RunResult:
-    """Compile and execute ``source`` under ``scheme``.
-
-    The optional observability hooks (``metrics`` registry, ``tracer``,
-    ``profiler``, compile ``phases``) are threaded into both the
-    compile pipeline and the machine; pass one shared
-    :class:`~repro.obs.metrics.MetricsRegistry` to get the full
-    ``compile.* / sim.* / pipeline.*`` tree in one snapshot.
-    """
-    config = config or HwstConfig()
-    if phases is None and metrics is not None:
-        from repro.obs.phases import PhaseTimers
-        phases = PhaseTimers(metrics=metrics, tracer=tracer)
-    program = compile_source(source, scheme, config, program_name,
-                             phases=phases)
-    pipeline = InOrderPipeline(timing_params, metrics=metrics) \
-        if timing else None
-    machine = Machine(config=config, timing=pipeline, metrics=metrics,
-                      tracer=tracer, profiler=profiler)
-    return machine.run(program, max_instructions=max_instructions)

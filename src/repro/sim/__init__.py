@@ -14,6 +14,9 @@
   basic block once (``--engine fast``).
 """
 
+from typing import Optional
+
+from repro.pipeline.timing import InOrderPipeline
 from repro.sim.memory import Memory, MemoryLayout
 from repro.sim.keybuffer import KeyBuffer
 from repro.sim.program import Program, Segment
@@ -29,19 +32,26 @@ ENGINES = {
 DEFAULT_ENGINE = "ref"
 
 
-def make_machine(engine: str = DEFAULT_ENGINE, **kwargs) -> Machine:
-    """Construct a simulator by engine name (``ref`` | ``fast``).
+def make_machine(engine: Optional[str] = None, *, timing: bool = False,
+                 metrics=None, **kwargs) -> Machine:
+    """Construct a simulator by engine name (``ref`` | ``fast``) — the
+    package's only constructor of a machine or pipeline.
 
-    Every keyword argument is forwarded to the engine's constructor —
-    the two engines take identical arguments by design.
+    ``engine=None`` reads :data:`DEFAULT_ENGINE` at call time.
+    ``timing`` attaches an :class:`InOrderPipeline` on the machine's
+    ``metrics`` registry (each keeps its own when none is given). Other
+    keyword arguments go to the engine's constructor, which is the same
+    for both engines.
     """
+    name = DEFAULT_ENGINE if engine is None else engine
     try:
-        cls = ENGINES[engine]
+        cls = ENGINES[name]
     except KeyError:
         raise ValueError(
-            f"unknown engine {engine!r}; choose from "
+            f"unknown engine {name!r}; choose from "
             f"{', '.join(sorted(ENGINES))}") from None
-    return cls(**kwargs)
+    pipeline = InOrderPipeline(metrics=metrics) if timing else None
+    return cls(timing=pipeline, metrics=metrics, **kwargs)
 
 
 __all__ = [

@@ -316,3 +316,30 @@ class TestGracefulInterrupt:
         assert report["interrupted"] is True
         assert report["completed"] == len(report["injections"])
         assert 0 < report["completed"] < 200
+
+    def test_sigterm_flushes_truncated_conform(self, tmp_path):
+        """Same contract for ``repro conform``: exit 12 and a valid
+        truncated repro.spec/v1 report over the completed cells."""
+        out = tmp_path / "conform.json"
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "conform",
+             "--heartbeat", "0.1", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, text=True)
+        try:
+            first = proc.stderr.readline()   # first heartbeat tick
+            assert first.strip(), "campaign produced no heartbeat"
+            proc.send_signal(signal.SIGTERM)
+            _, stderr_rest = proc.communicate(timeout=180)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == errors.EXIT_INTERRUPTED
+        assert "interrupt" in (first + stderr_rest)
+        report = json.loads(out.read_text())
+        assert report["schema"] == "repro.spec/v1"
+        assert report["interrupted"] is True
+        assert report["completed"] == report["totals"]["cells"]
+        total = json.loads(first)["total"]
+        assert 0 < report["completed"] < total

@@ -34,8 +34,10 @@ from repro.harness.conform import (
     report_to_json,
     run_conform,
 )
+from repro.harness.parallel import STOP_CHUNK
 from repro.harness.runner import WORKLOADS
 from repro.isa.instructions import SPEC_TABLE
+from repro.obs.heartbeat import Heartbeat
 from repro.obs.metrics import MetricsRegistry
 from repro.schemes import compile_source
 from repro.sim import make_machine
@@ -313,8 +315,7 @@ class TestConformReport:
         return run_conform(workloads=["treeadd"],
                            schemes=["hwst128_tchk"],
                            fuzz_count=4, seed=SEED, jobs=jobs,
-                           equiv=False, heartbeat_s=0,
-                           registry=registry)
+                           equiv=False, registry=registry)
 
     def test_byte_identical_across_jobs_and_reruns(self):
         first = report_to_json(self._run(jobs=1))
@@ -338,6 +339,25 @@ class TestConformReport:
         never = set(report["coverage"]["never_exercised"])
         assert covered | never == set(SPEC_TABLE)
         assert not covered & never
+
+    def test_stop_truncates_to_a_valid_prefix(self):
+        polls = []
+
+        def stop_after_first_chunk():
+            polls.append(True)
+            return len(polls) > 1
+
+        kwargs = dict(workloads=["treeadd"], schemes=["hwst128_tchk"],
+                      fuzz_count=STOP_CHUNK, seed=SEED, equiv=False)
+        heartbeat = Heartbeat(total=0, label="conform", interval_s=0)
+        partial = run_conform(heartbeat=heartbeat,
+                              stop=stop_after_first_chunk, **kwargs)
+        full = run_conform(**kwargs)
+        assert heartbeat.total == STOP_CHUNK + 1
+        assert partial["interrupted"] is True
+        assert partial["completed"] == STOP_CHUNK
+        assert partial["lockstep"] == full["lockstep"][:STOP_CHUNK]
+        assert "interrupted" not in full and "completed" not in full
 
     def test_cell_list_is_deterministic(self):
         cells = build_cells(workloads=["treeadd"], fuzz_count=2,
@@ -364,7 +384,7 @@ class TestCoverageRatchet:
                              scale=corpus["scale"],
                              fuzz_count=corpus["fuzz_count"],
                              seed=corpus["seed"],
-                             equiv=False, jobs=1, heartbeat_s=0)
+                             equiv=False, jobs=1)
         assert report["totals"]["divergences"] == 0
         exercised = set(report["coverage"]["exercised"])
         pinned = set(ratchet["mnemonics"])

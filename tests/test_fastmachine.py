@@ -355,13 +355,10 @@ class TestObservedModes:
 
         reports = {}
         for engine in ("ref", "fast"):
-            from repro.pipeline.timing import InOrderPipeline
-
             profiler = CycleProfiler()
             config = HwstConfig()
             program = compile_source(self.SOURCE, "hwst128_tchk", config)
-            machine = make_machine(engine, config=config,
-                                   timing=InOrderPipeline(),
+            machine = make_machine(engine, config=config, timing=True,
                                    profiler=profiler)
             result = machine.run(program)
             assert result.status == STATUS_EXIT

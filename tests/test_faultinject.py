@@ -363,7 +363,7 @@ class TestInterrupt:
         report = run_campaign(n=40, seed=5, jobs=1,
                               wallclock_budget=None, stop=stop)
         assert report.interrupted
-        assert len(report.injections) == 16   # one _STOP_CHUNK
+        assert len(report.injections) == 16   # one STOP_CHUNK
         doc = report.to_dict()
         assert doc["interrupted"] is True
         assert doc["completed"] == 16

@@ -91,7 +91,7 @@ class TestGlobalStateUntouched:
 
         state = self._snapshot()
         run_conform(workloads=["treeadd"], schemes=["hwst128_tchk"],
-                    fuzz_count=2, equiv=False, jobs=1, heartbeat_s=0)
+                    fuzz_count=2, equiv=False, jobs=1)
         assert random.getstate() == state
 
 
