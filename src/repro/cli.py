@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import HwstConfig
-from repro.errors import (EXIT_FAILURE, EXIT_INTERRUPTED, EXIT_OK,
+from repro.errors import (EXIT_FAILURE, EXIT_OK, CampaignInterrupted,
                           ReproError, exit_code_for, exit_code_for_status)
 from repro.harness.runner import detected
 from repro.schemes import SCHEMES, compile_source
@@ -69,7 +69,7 @@ def _graceful_stop():
         if state["stop"] and signum == signal.SIGINT:
             signal.signal(signal.SIGINT, signal.default_int_handler)
         state["stop"] = True
-        print("interrupt: finishing current chunk, flushing truncated "
+        print("interrupt: finishing current batch, flushing truncated "
               "report (send SIGINT again to kill)", file=sys.stderr)
 
     previous = {sig: signal.signal(sig, handler)
@@ -293,142 +293,94 @@ def cmd_analyze(args) -> int:
     return 1 if failed else 0
 
 
-def _heartbeat(args, total: int, label: str, executor=None):
-    """Build the campaign Heartbeat from ``--heartbeat SECONDS``
-    (0 = off, the default: short runs and tests stay silent)."""
-    if not getattr(args, "heartbeat", 0):
-        return None
+def _run_campaign(args, plan, findings_exit: int = EXIT_FAILURE) -> int:
+    """The one CLI path of ``fuzz``/``faultcampaign``/``conform``.
+
+    ``plan()`` builds the :class:`~repro.harness.campaign.Campaign`
+    under the SIGTERM/SIGINT stop flag; it runs with an optional
+    ``--heartbeat``, then the table and sweep summary print and
+    ``--out`` is written. A truncated run raises
+    :class:`CampaignInterrupted` (exit 12) after that flush; otherwise
+    the exit code is 0, or ``findings_exit`` when the campaign is not
+    clean.
+    """
+    from repro.harness.parallel import SweepExecutor
     from repro.obs import Heartbeat
 
-    registry = executor.registry if executor is not None else None
-    return Heartbeat(total=total, label=label,
-                     interval_s=args.heartbeat, metrics=registry)
+    with SweepExecutor(jobs=args.jobs) as executor, \
+            _graceful_stop() as stop:
+        campaign = plan()
+        heartbeat = Heartbeat(
+            total=campaign.total, label=campaign.label,
+            interval_s=args.heartbeat, metrics=executor.registry) \
+            if args.heartbeat else None
+        campaign.run(executor, heartbeat=heartbeat, stop=stop)
+    print(campaign.table())
+    print(executor.summary())
+    if args.out:
+        campaign.save(args.out)
+        print(f"report -> {args.out}")
+    if campaign.interrupted:
+        raise CampaignInterrupted(campaign.completed, campaign.total)
+    return EXIT_OK if campaign.clean else findings_exit
+
+
+def _split(text: str) -> List[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _unknown(kind: str, names, known) -> bool:
+    """Report names missing from ``known`` (exit 2 follows)."""
+    missing = [name for name in names if name not in known]
+    if missing:
+        print(f"error: unknown {kind} {missing}; known: {sorted(known)}",
+              file=sys.stderr)
+    return bool(missing)
 
 
 def cmd_faultcampaign(args) -> int:
-    """Seeded fault-injection campaign with a differential oracle."""
-    import json
+    """Seeded fault-injection campaign with a differential oracle; the
+    gate is harness health (no crash or hang)."""
+    from repro.faultinject import FAMILIES, CampaignReport
 
-    from repro.faultinject import FAMILIES, run_campaign
-    from repro.harness.parallel import SweepExecutor
-
-    families = [name.strip() for name in args.faults.split(",")
-                if name.strip()]
-    unknown = [name for name in families if name not in FAMILIES]
-    if unknown:
-        print(f"error: unknown fault families {unknown}; known: "
-              f"{sorted(FAMILIES)}", file=sys.stderr)
+    families = _split(args.faults)
+    if _unknown("fault families", families, FAMILIES):
         return 2
-    with SweepExecutor(jobs=args.jobs) as executor, \
-            _graceful_stop() as stop:
-        heartbeat = _heartbeat(args, total=args.n, label="faultinject",
-                               executor=executor)
-        report = run_campaign(
-            scheme=args.scheme, families=families, n=args.n,
-            seed=args.seed, executor=executor,
-            wallclock_budget=args.wallclock, heartbeat=heartbeat,
-            engine_lockstep=args.engine_lockstep, stop=stop)
-    print(report.table())
-    print(executor.summary())
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report -> {args.out}")
-    if report.interrupted:
-        print(f"interrupted after {len(report.injections)}/{args.n} "
-              "injections; truncated report is valid", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    # Gate on harness health: injections are *supposed* to be detected
-    # or masked (and silent corruption is a finding, not a failure),
-    # but a crash or hang means the harness itself misbehaved.
-    return 0 if report.clean else 1
+    return _run_campaign(args, lambda: CampaignReport(
+        scheme=args.scheme, families=families, n=args.n, seed=args.seed,
+        wallclock_budget=args.wallclock,
+        engine_lockstep=args.engine_lockstep))
 
 
 def cmd_fuzz(args) -> int:
     """Coverage-guided differential fuzzing campaign."""
-    from repro.fuzz import run_fuzz
-    from repro.harness.parallel import SweepExecutor
+    from repro.fuzz import FuzzReport
 
-    with SweepExecutor(jobs=args.jobs) as executor, \
-            _graceful_stop() as stop:
-        heartbeat = _heartbeat(args, total=args.n, label="fuzz",
-                               executor=executor)
-        report = run_fuzz(
-            n=args.n, seed=args.seed, executor=executor,
-            corpus_dir=args.corpus,
-            reduce_divergences=not args.no_reduce,
-            wallclock_budget=args.wallclock, heartbeat=heartbeat,
-            engine_lockstep=args.engine_lockstep,
-            spec_lockstep=args.spec_lockstep, stop=stop)
-    print(report.table())
-    print(executor.summary())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-        print(f"report -> {args.out}")
-    if report.interrupted:
-        print(f"interrupted after {len(report.programs)}/{args.n} "
-              "programs; truncated report is valid", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    return 0 if report.clean else 1
+    return _run_campaign(args, lambda: FuzzReport(
+        n=args.n, seed=args.seed, corpus_dir=args.corpus,
+        reduce_divergences=not args.no_reduce,
+        wallclock_budget=args.wallclock,
+        engine_lockstep=args.engine_lockstep,
+        spec_lockstep=args.spec_lockstep))
 
 
 def cmd_conform(args) -> int:
     """Conformance campaign: executable spec vs the ISS engines."""
     from repro.errors import EXIT_SPEC_DIVERGENCE
-    from repro.harness.conform import (divergences_of, report_to_json,
-                                       run_conform)
-    from repro.harness.parallel import SweepExecutor
+    from repro.harness.conform import ConformReport
 
-    schemes = [name.strip() for name in args.schemes.split(",")
-               if name.strip()]
-    unknown = [name for name in schemes if name not in SCHEMES]
-    if unknown:
-        print(f"error: unknown schemes {unknown}; known: "
-              f"{sorted(SCHEMES)}", file=sys.stderr)
+    schemes = _split(args.schemes)
+    if _unknown("schemes", schemes, SCHEMES):
         return 2
-    workloads = None
-    if args.workloads:
-        workloads = [name.strip() for name in args.workloads.split(",")
-                     if name.strip()]
-        missing = [name for name in workloads if name not in WORKLOADS]
-        if missing:
-            print(f"error: unknown workloads {missing}; known: "
-                  f"{sorted(WORKLOADS)}", file=sys.stderr)
-            return 2
-    with SweepExecutor(jobs=args.jobs) as executor, \
-            _graceful_stop() as stop:
-        report = run_conform(
-            workloads=workloads, schemes=schemes, scale=args.scale,
-            fuzz_count=args.fuzz_count, seed=args.seed,
-            equiv=not args.skip_equiv, lockstep=not args.skip_lockstep,
-            max_instructions=args.max_instructions,
-            registry=executor.registry, executor=executor,
-            heartbeat=_heartbeat(args, total=0, label="conform",
-                                 executor=executor),
-            stop=stop)
-        summary = executor.summary()
-    totals = report["totals"]
-    print(f"conform: {totals['cells']} cells, "
-          f"{totals['equiv_cases']} equivalence cases, "
-          f"{totals['retires']} lockstep retires, "
-          f"{totals['mnemonics_covered']} mnemonics covered, "
-          f"{totals['divergences']} divergences")
-    never = report["coverage"]["never_exercised"]
-    if never and not args.skip_lockstep:
-        print(f"never exercised by the lockstep corpus ({len(never)}): "
-              + " ".join(never))
-    print(summary)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report_to_json(report))
-        print(f"report -> {args.out}")
-    if report.get("interrupted"):
-        print(f"interrupted after {report['completed']} cells; "
-              "truncated report is valid", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    return EXIT_SPEC_DIVERGENCE if divergences_of(report) else EXIT_OK
+    workloads = _split(args.workloads) if args.workloads else None
+    if workloads and _unknown("workloads", workloads, WORKLOADS):
+        return 2
+    return _run_campaign(args, lambda: ConformReport(
+        workloads=workloads, schemes=schemes, scale=args.scale,
+        fuzz_count=args.fuzz_count, seed=args.seed,
+        equiv=not args.skip_equiv, lockstep=not args.skip_lockstep,
+        max_instructions=args.max_instructions),
+        findings_exit=EXIT_SPEC_DIVERGENCE)
 
 
 def cmd_serve(args) -> int:
@@ -534,6 +486,21 @@ def cmd_bench(args) -> int:
             print(f"{name:<28}{wall['median']:>10.2f} ms "
                   f"±{wall['iqr']:.2f}{mips_s}")
     return 0
+
+
+def _campaign_options(parser, schema: str, seed: int = 0,
+                      seed_help: Optional[str] = None) -> None:
+    """The options every campaign subcommand shares."""
+    parser.add_argument("--seed", type=int, default=seed, help=seed_help)
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes (the report is the same "
+                        "at any value)")
+    parser.add_argument("--heartbeat", type=float, default=0.0,
+                        metavar="SECONDS",
+                        help="emit JSON progress heartbeats on stderr "
+                        "every SECONDS (0 = off)")
+    parser.add_argument("--out", metavar="OUT.JSON",
+                        help=f"write the {schema} report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,21 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "checks")
     fault_p.add_argument("--n", type=_positive_int, default=200,
                          help="number of injections")
-    fault_p.add_argument("--seed", type=int, default=0)
-    fault_p.add_argument("--jobs", type=_positive_int, default=1)
     fault_p.add_argument("--wallclock", type=float, default=60.0,
                          metavar="SECONDS",
                          help="per-injection watchdog budget")
-    fault_p.add_argument("--out", metavar="OUT.JSON",
-                         help="write the repro.faultinject/v1 report")
     fault_p.add_argument("--engine-lockstep", action="store_true",
                          help="before injecting, re-run every golden "
                          "on the fast engine and abort on any "
                          "observable mismatch (report bytes unchanged)")
-    fault_p.add_argument("--heartbeat", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="emit JSON progress heartbeats on stderr "
-                         "every SECONDS (0 = off)")
+    _campaign_options(fault_p, "repro.faultinject/v1")
     fault_p.set_defaults(fn=cmd_faultcampaign)
 
     fuzz_p = sub.add_parser(
@@ -679,8 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         "+ oracle stack + ddmin reducer)")
     fuzz_p.add_argument("--n", type=_positive_int, default=200,
                         help="number of generated programs")
-    fuzz_p.add_argument("--seed", type=int, default=0)
-    fuzz_p.add_argument("--jobs", type=_positive_int, default=1)
     fuzz_p.add_argument("--wallclock", type=float, default=60.0,
                         metavar="SECONDS",
                         help="per-program watchdog budget")
@@ -689,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "repro + metadata) here")
     fuzz_p.add_argument("--no-reduce", action="store_true",
                         help="skip ddmin reduction of divergences")
-    fuzz_p.add_argument("--out", metavar="OUT.JSON",
-                        help="write the repro.fuzz/v1 report")
     fuzz_p.add_argument("--engine-lockstep", action="store_true",
                         help="add the ref-vs-fast engine oracle to "
                         "every probe (hwst128 build re-executed on the "
@@ -700,10 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repro.spec) as an oracle: the hwst128 build "
                         "co-simulated against the reference engine "
                         "with per-retire architectural state diffs")
-    fuzz_p.add_argument("--heartbeat", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="emit JSON progress heartbeats on stderr "
-                        "every SECONDS (0 = off)")
+    _campaign_options(fuzz_p, "repro.fuzz/v1")
     fuzz_p.set_defaults(fn=cmd_fuzz)
 
     conform_p = sub.add_parser(
@@ -724,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="generated fuzz programs to lockstep "
                            "(0 = none)")
-    conform_p.add_argument("--seed", type=int, default=20260807,
-                           help="seed for equivalence cases and the "
-                           "fuzz corpus")
-    conform_p.add_argument("--jobs", type=_positive_int, default=1)
     conform_p.add_argument("--skip-equiv", action="store_true",
                            help="skip the per-instruction equivalence "
                            "sweep")
@@ -737,12 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     conform_p.add_argument("--max-instructions", type=_positive_int,
                            default=2_000_000,
                            help="per-program lockstep retire budget")
-    conform_p.add_argument("--heartbeat", type=float, default=0.0,
-                           metavar="SECONDS",
-                           help="emit JSON progress heartbeats on "
-                           "stderr every SECONDS (0 = off)")
-    conform_p.add_argument("--out", metavar="OUT.JSON",
-                           help="write the repro.spec/v1 report")
+    _campaign_options(conform_p, "repro.spec/v1", seed=20260807,
+                      seed_help="seed for equivalence cases and the "
+                      "fuzz corpus")
     conform_p.set_defaults(fn=cmd_conform)
 
     bench_p = sub.add_parser(

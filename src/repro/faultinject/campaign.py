@@ -18,31 +18,28 @@
    profile (:func:`~repro.faultinject.oracle.classify`); the campaign
    layer only adds the envelope verdicts — ``hang`` for watchdog
    firings, ``crash`` for error/worker-death envelopes.
-5. **Report.** The scoreboard and the per-injection records stream
-   into a ``repro.faultinject/v1`` dict that contains *no* timestamps,
-   durations or job counts — same seed, same JSON, byte for byte,
-   regardless of parallelism. ``fault.*`` counters land on the
-   executor's metrics registry.
+5. **Report.** :class:`CampaignReport` folds the scoreboard and the
+   per-injection records into a ``repro.faultinject/v1`` dict that
+   contains *no* timestamps, durations or job counts — same seed, same
+   JSON, byte for byte, regardless of parallelism. ``fault.*`` counters
+   land on the executor's metrics registry.
 
-A campaign is **interruptible**: pass ``stop`` (a zero-argument
-callable, e.g. a flag set by a SIGTERM handler) and cells run in
-bounded chunks with the flag checked at each chunk boundary. An
-interrupted campaign still returns a *valid* report over the completed
-prefix, marked ``"interrupted": true`` + ``"completed": N`` —
-uninterrupted reports carry neither key, so their bytes are unchanged.
+The campaign runs on the :mod:`repro.harness.campaign` skeleton, which
+makes it interruptible: cells go in batches of ``STOP_CHUNK`` and a
+``stop`` flag cuts it at a batch boundary, leaving a valid report over
+the completed prefix.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import HwstConfig
+from repro.harness.campaign import Campaign, chunks
 from repro.harness.compile_cache import process_cache
-from repro.harness.parallel import (
-    CellResult, STATUS_HANG, run_cells,
-)
+from repro.harness.parallel import CellResult, STATUS_HANG
 from repro.faultinject.faults import (
     FaultSpec, LINK_KINDS, RuntimeInjector, apply_link_fault, kinds_for,
 )
@@ -147,37 +144,115 @@ def _verdict_of(result: CellResult) -> str:
     return CRASH  # status="error" / "worker_died": harness failure
 
 
-@dataclass
-class CampaignReport:
-    """Aggregated campaign outcome + the deterministic JSON document."""
+class CampaignReport(Campaign):
+    """A planned fault campaign (goldens and injection cells); it folds
+    into the ``repro.faultinject/v1`` document.
 
-    scheme: str
-    seed: int
-    n: int
-    families: List[str]
-    targets: List[str]
-    goldens: Dict[str, RunProfile]
-    scoreboard: Dict[str, int]
-    by_kind: Dict[str, Dict[str, int]]
-    injections: List[dict] = field(default_factory=list)
-    #: True when a ``stop`` flag cut the campaign short; the report
-    #: then covers only the completed prefix (``len(injections)``).
-    interrupted: bool = False
+    ``engine_lockstep`` (opt-in, default off) re-runs every golden
+    profile on the fast translation-cached engine before the campaign
+    starts and raises :class:`ReproError` on any observable mismatch
+    (including instret). It never changes the report bytes — it either
+    passes silently or aborts loudly.
+    """
+
+    label = "faultinject"
+
+    def __init__(self, scheme: str = "hwst128",
+                 families: Sequence[str] = ("metadata", "keybuffer",
+                                            "checks"),
+                 n: int = 200, seed: int = 0,
+                 targets: Optional[Sequence[str]] = None,
+                 config: Optional[HwstConfig] = None,
+                 wallclock_budget: Optional[float] = 60.0,
+                 engine_lockstep: bool = False):
+        if n < 1:
+            raise ValueError(f"n must be >= 1: {n}")
+        kinds = kinds_for(families)
+        target_names = list(targets if targets is not None else
+                            DEFAULT_TARGETS)
+        for name in target_names:
+            if name not in TARGETS:
+                raise ValueError(f"unknown target {name!r}; known: "
+                                 f"{sorted(TARGETS)}")
+        config = config or HwstConfig()
+        goldens = {name: golden_run(TARGETS[name], scheme, config)
+                   for name in target_names}
+        if engine_lockstep:
+            from repro.errors import ReproError
+
+            for name in target_names:
+                fast = golden_run(TARGETS[name], scheme, config,
+                                  engine="fast")
+                ref = goldens[name]
+                if not ref.identical(fast):
+                    raise ReproError(
+                        f"engine lockstep failed on golden {name!r}/"
+                        f"{scheme}: ref {ref.status}/exit={ref.exit_code}/"
+                        f"instret={ref.instret} vs fast {fast.status}/"
+                        f"exit={fast.exit_code}/instret={fast.instret}")
+        plan = plan_campaign(n, seed, kinds, target_names, goldens)
+        self.cells = [
+            InjectionCell(
+                index=index, target=target, source=TARGETS[target],
+                scheme=scheme, fault=fault, golden=goldens[target],
+                max_instructions=goldens[target].instret * 4
+                + _STEP_SLACK,
+                config=config, wallclock_budget=wallclock_budget)
+            for index, (target, fault) in enumerate(plan)
+        ]
+        self.scheme = scheme
+        self.seed = seed
+        self.n = self.total = n
+        self.families = list(families)
+        self.targets = target_names
+        self.goldens = goldens
+        self.scoreboard = {cls: 0 for cls in CLASSES}
+        self.by_kind = {kind: {cls: 0 for cls in CLASSES} for kind in kinds}
+        self.injections: List[dict] = []
+
+    def batches(self):
+        return chunks(self.cells)
+
+    def fold(self, batch, results) -> None:
+        for cell, result in zip(batch, results):
+            verdict = _verdict_of(result)
+            self.scoreboard[verdict] += 1
+            self.by_kind[cell.fault.kind][verdict] += 1
+            record = {
+                "index": cell.index,
+                "target": cell.target,
+                "kind": cell.fault.kind,
+                "family": cell.fault.family,
+                "trigger": cell.fault.trigger,
+                "bit": cell.fault.bit,
+                "select": cell.fault.select,
+                "class": verdict,
+                "status": result.status,
+                "note": result.extra.get("note", ""),
+            }
+            if result.trap_class:
+                record["trap_class"] = result.trap_class
+                record["trap_pc"] = result.trap_pc
+            self.injections.append(record)
+
+    def count(self, registry) -> None:
+        fault_scope = registry.scope("fault")
+        fault_scope.counter("injected").inc(len(self.injections))
+        for cls in CLASSES:
+            fault_scope.counter(cls).inc(self.scoreboard[cls])
 
     @property
     def clean(self) -> bool:
-        """No harness failures and nothing wedged — the CI gate."""
+        """No harness failures and nothing wedged — the CI gate:
+        injections are *supposed* to be detected or masked (and silent
+        corruption is a finding, not a failure)."""
         return self.scoreboard[CRASH] == 0 and self.scoreboard[HANG] == 0
 
-    def to_dict(self) -> dict:
-        """The ``repro.faultinject/v1`` document.
-
-        Deliberately free of timestamps, wall-times and job counts:
-        same seed -> byte-identical JSON at any parallelism. The
-        ``interrupted``/``completed`` keys appear *only* on a truncated
-        report, so completed campaigns keep their exact bytes.
-        """
-        doc = {
+    def document(self) -> dict:
+        """The ``repro.faultinject/v1`` document. Deliberately free of
+        timestamps, wall-times and job counts: same seed ->
+        byte-identical JSON at any parallelism."""
+        return {
             "schema": REPORT_SCHEMA,
             "scheme": self.scheme,
             "seed": self.seed,
@@ -191,10 +266,6 @@ class CampaignReport:
                         for kind, row in self.by_kind.items()},
             "injections": list(self.injections),
         }
-        if self.interrupted:
-            doc["interrupted"] = True
-            doc["completed"] = len(self.injections)
-        return doc
 
     def table(self) -> str:
         """Human-readable scoreboard."""
@@ -211,6 +282,7 @@ class CampaignReport:
                      + "".join(f"{self.scoreboard[cls]:>20}"
                                for cls in CLASSES))
         return "\n".join(lines)
+
 
 
 def plan_campaign(n: int, seed: int, kinds: Sequence[str],
@@ -235,116 +307,10 @@ def plan_campaign(n: int, seed: int, kinds: Sequence[str],
     return plan
 
 
-def run_campaign(scheme: str = "hwst128",
-                 families: Sequence[str] = ("metadata", "keybuffer",
-                                            "checks"),
-                 n: int = 200, seed: int = 0,
-                 targets: Optional[Sequence[str]] = None,
-                 config: Optional[HwstConfig] = None,
-                 executor=None, jobs: int = 1,
-                 wallclock_budget: Optional[float] = 60.0,
-                 registry=None, heartbeat=None,
-                 engine_lockstep: bool = False,
-                 stop=None) -> CampaignReport:
-    """Run a seeded fault-injection campaign; see the module docstring.
-
-    ``executor`` (a :class:`SweepExecutor`) is reused when given —
-    its ``fault.*`` counters and merged obs snapshot accumulate there;
-    otherwise a transient executor with ``jobs`` workers runs the
-    cells and ``registry`` (optional) receives the counters.
-    ``heartbeat`` (a :class:`repro.obs.heartbeat.Heartbeat`) receives
-    rate-limited progress ticks as injection groups complete —
-    stderr/telemetry only; the ``repro.faultinject/v1`` report stays
-    byte-identical with or without it.
-
-    ``engine_lockstep`` (opt-in, default off) re-runs every golden
-    profile on the fast translation-cached engine before the campaign
-    starts and raises :class:`ReproError` on any observable mismatch
-    (including instret). It never changes the report bytes — it either
-    passes silently or aborts loudly.
-
-    ``stop`` (optional zero-argument callable) makes the campaign
-    interruptible (see :func:`~repro.harness.parallel.run_cells`); once
-    it returns True the report is finalised over the completed prefix
-    with ``interrupted=True``.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1: {n}")
-    kinds = kinds_for(families)
-    target_names = list(targets if targets is not None else
-                        DEFAULT_TARGETS)
-    for name in target_names:
-        if name not in TARGETS:
-            raise ValueError(f"unknown target {name!r}; known: "
-                             f"{sorted(TARGETS)}")
-    config = config or HwstConfig()
-
-    goldens = {name: golden_run(TARGETS[name], scheme, config)
-               for name in target_names}
-    if engine_lockstep:
-        from repro.errors import ReproError
-
-        for name in target_names:
-            fast = golden_run(TARGETS[name], scheme, config,
-                              engine="fast")
-            ref = goldens[name]
-            if not ref.identical(fast):
-                raise ReproError(
-                    f"engine lockstep failed on golden {name!r}/"
-                    f"{scheme}: ref {ref.status}/exit={ref.exit_code}/"
-                    f"instret={ref.instret} vs fast {fast.status}/"
-                    f"exit={fast.exit_code}/instret={fast.instret}")
-
-    plan = plan_campaign(n, seed, kinds, target_names, goldens)
-    cells = [
-        InjectionCell(
-            index=index, target=target, source=TARGETS[target],
-            scheme=scheme, fault=fault, golden=goldens[target],
-            max_instructions=goldens[target].instret * 4 + _STEP_SLACK,
-            config=config, wallclock_budget=wallclock_budget)
-        for index, (target, fault) in enumerate(plan)
-    ]
-    progress = None
-    if heartbeat is not None:
-        def progress(done, _total):
-            heartbeat.tick(done, phase="inject")
-    results = run_cells(cells, executor=executor, jobs=jobs,
-                        progress=progress, stop=stop)
-    interrupted = len(results) < len(cells)
-
-    scoreboard = {cls: 0 for cls in CLASSES}
-    by_kind = {kind: {cls: 0 for cls in CLASSES} for kind in kinds}
-    injections = []
-    for cell, result in zip(cells, results):
-        verdict = _verdict_of(result)
-        scoreboard[verdict] += 1
-        by_kind[cell.fault.kind][verdict] += 1
-        record = {
-            "index": cell.index,
-            "target": cell.target,
-            "kind": cell.fault.kind,
-            "family": cell.fault.family,
-            "trigger": cell.fault.trigger,
-            "bit": cell.fault.bit,
-            "select": cell.fault.select,
-            "class": verdict,
-            "status": result.status,
-            "note": result.extra.get("note", ""),
-        }
-        if result.trap_class:
-            record["trap_class"] = result.trap_class
-            record["trap_pc"] = result.trap_pc
-        injections.append(record)
-
-    reg = executor.registry if executor is not None else registry
-    if reg is not None:
-        fault_scope = reg.scope("fault")
-        fault_scope.counter("injected").inc(len(results))
-        for cls in CLASSES:
-            fault_scope.counter(cls).inc(scoreboard[cls])
-
-    return CampaignReport(
-        scheme=scheme, seed=seed, n=n,
-        families=list(families), targets=target_names,
-        goldens=goldens, scoreboard=scoreboard, by_kind=by_kind,
-        injections=injections, interrupted=interrupted)
+def run_campaign(executor=None, jobs: int = 1, heartbeat=None,
+                 stop=None, **options) -> CampaignReport:
+    """Plan a :class:`CampaignReport` (``options`` are its planning
+    arguments) and run it; see the module docstring and
+    :meth:`repro.harness.campaign.Campaign.run` for ``executor``,
+    ``jobs``, ``heartbeat`` and ``stop``."""
+    return CampaignReport(**options).run(executor, jobs, heartbeat, stop)

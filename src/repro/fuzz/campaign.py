@@ -18,8 +18,7 @@ record) land in ``corpus_dir`` when one is given.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -28,8 +27,9 @@ from repro.fuzz.gen import generate_program, plan_programs
 from repro.fuzz.oracle import (
     DEFAULT_SCHEMES, Divergence, classify_program, probe_program,
 )
+from repro.harness.campaign import Campaign, report_json
 from repro.harness.parallel import (
-    CellResult, STATUS_HANG, STATUS_WORKER_DIED, SweepExecutor, run_cells,
+    CellResult, STATUS_HANG, STATUS_WORKER_DIED, SweepExecutor,
 )
 
 __all__ = ["FuzzCell", "FuzzReport", "REPORT_SCHEMA", "run_fuzz"]
@@ -132,20 +132,139 @@ def _signatures_of(source: str, kind: str, expect: str,
     return {d.signature for d in divergences}
 
 
-@dataclass
-class FuzzReport:
-    """Deterministic ``repro.fuzz/v1`` campaign report."""
+class FuzzReport(Campaign):
+    """A planned campaign of ``n`` programs from ``seed``; it folds
+    into the deterministic ``repro.fuzz/v1`` report.
 
-    seed: int
-    n: int
-    schemes: Tuple[str, ...]
-    round_size: int
-    programs: List[dict] = field(default_factory=list)
-    divergences: List[dict] = field(default_factory=list)
-    coverage: dict = field(default_factory=dict)
-    #: True when a ``stop`` flag cut the campaign short at a round (or
-    #: reduction) boundary; the report then covers the completed prefix.
-    interrupted: bool = False
+    Byte-identical for the same ``(seed, n, round_size, schemes)`` at
+    any ``jobs``. ``engine_lockstep`` (opt-in) adds the ref-vs-fast
+    engine oracle to every probe; ``spec_lockstep`` (opt-in) adds the
+    executable golden spec (``repro.spec``) co-simulated against the
+    reference engine. Both default off, keeping reports unchanged.
+    """
+
+    label = "fuzz"
+
+    def __init__(self, n: int, seed: int,
+                 schemes: Sequence[str] = DEFAULT_SCHEMES,
+                 round_size: int = ROUND_SIZE,
+                 max_instructions: int = 2_000_000,
+                 wallclock_budget: Optional[float] = 60.0,
+                 engine_lockstep: bool = False,
+                 spec_lockstep: bool = False,
+                 corpus_dir=None,
+                 reduce_divergences: bool = True,
+                 reduce_checks: int = 300):
+        self.n = self.total = n
+        self.seed = seed
+        self.schemes = tuple(schemes)
+        self.round_size = round_size
+        self._cell_options = dict(
+            schemes=self.schemes, max_instructions=max_instructions,
+            wallclock_budget=wallclock_budget,
+            engine_lockstep=engine_lockstep, spec_lockstep=spec_lockstep)
+        self.corpus_dir = corpus_dir
+        self.reduce_divergences = reduce_divergences
+        self.reduce_checks = reduce_checks
+        self.programs: List[dict] = []
+        self.divergences: List[dict] = []
+        self.coverage = FuzzCoverage()
+        self._features: Dict[int, list] = {}
+        self._divergent: List[Tuple[FuzzCell, List[Divergence]]] = []
+
+    def batches(self):
+        """One round per batch, generated with the coverage weights
+        folded from every earlier round."""
+        weights: Optional[Dict[str, float]] = None
+        for start in range(0, self.n, self.round_size):
+            cells = []
+            for index, kind in plan_programs(
+                    self.seed, min(self.round_size, self.n - start),
+                    start=start):
+                program = generate_program(self.seed, index, kind, weights)
+                self._features[index] = program.features
+                cells.append(FuzzCell(
+                    index=index, name=program.name, kind=program.kind,
+                    expect=program.expect, source=program.source,
+                    **self._cell_options))
+            yield cells
+            weights = self.coverage.weights()
+
+    def fold(self, batch, results) -> None:
+        # Results arrive in index order — the only order that exists
+        # as far as the report is concerned, whatever jobs= was.
+        for cell, result in zip(batch, results):
+            features = self._features.pop(cell.index)
+            if result.measured:
+                verdicts = result.extra["verdicts"]
+                found = [Divergence(**d)
+                         for d in result.extra["divergences"]]
+                self.coverage.observe(features, result.extra["functions"])
+                status = result.extra["statuses"].get(self.schemes[-1], "")
+            else:
+                verdicts = {"harness": "divergence"}
+                found = [_envelope_divergence(result)]
+                status = result.status
+            self.programs.append({
+                "index": cell.index,
+                "name": cell.name,
+                "kind": cell.kind,
+                "expect": cell.expect,
+                "status": status,
+                "verdicts": verdicts,
+                "findings": len(found),
+            })
+            if found:
+                self._divergent.append((cell, found))
+
+    def finish(self, stopped, tick) -> None:
+        """Record every divergence and shrink it with ddmin; a stop
+        skips the remaining reductions, never the (cheap) facts."""
+        corpus = Path(self.corpus_dir) if self.corpus_dir else None
+        if corpus is not None:
+            corpus.mkdir(parents=True, exist_ok=True)
+        for cell, found in self._divergent:
+            tick(phase="reduce", reducing=cell.name)
+            record = {
+                "index": cell.index,
+                "name": cell.name,
+                "kind": cell.kind,
+                "expect": cell.expect,
+                "divergences": [d.to_dict() for d in found],
+                "source": cell.source,
+            }
+            if self.reduce_divergences and not stopped() and not any(
+                    d.kind in ("hang", "worker_died") for d in found):
+                record.update(self._reduce(cell, found))
+            self.divergences.append(record)
+            if corpus is not None:
+                stem = corpus / cell.name
+                stem.with_suffix(".c").write_text(cell.source)
+                if "reduced_source" in record:
+                    (corpus / f"{cell.name}.min.c").write_text(
+                        record["reduced_source"])
+                stem.with_suffix(".json").write_text(report_json(record))
+
+    def _reduce(self, cell: FuzzCell, found: List[Divergence]) -> dict:
+        from repro.fuzz.reduce import reduce_source
+
+        wanted = frozenset(d.signature for d in found)
+
+        def predicate(candidate: str) -> bool:
+            return wanted <= _signatures_of(
+                candidate, cell.kind, cell.expect, cell.schemes,
+                cell.max_instructions,
+                engine_lockstep=cell.engine_lockstep,
+                spec_lockstep=cell.spec_lockstep)
+
+        shrunk = reduce_source(cell.source, predicate,
+                               max_checks=self.reduce_checks)
+        return {"reduced_source": shrunk.source,
+                "reduced_statements": shrunk.statements,
+                "reduce_checks": shrunk.checks}
+
+    def heartbeat_fields(self) -> dict:
+        return {"divergent_programs": len(self._divergent)}
 
     @property
     def clean(self) -> bool:
@@ -171,30 +290,18 @@ class FuzzReport:
                                for d in self.divergences),
         }
 
-    def to_dict(self) -> dict:
-        # interrupted/completed appear only on truncated reports, so
-        # completed campaigns keep their exact bytes.
-        doc = {
+    def document(self) -> dict:
+        return {
             "schema": REPORT_SCHEMA,
             "seed": self.seed,
             "n": self.n,
             "schemes": list(self.schemes),
             "round_size": self.round_size,
             "scoreboard": self.scoreboard(),
-            "coverage": self.coverage,
+            "coverage": self.coverage.to_dict(),
             "programs": self.programs,
             "divergences": self.divergences,
         }
-        if self.interrupted:
-            doc["interrupted"] = True
-            doc["completed"] = len(self.programs)
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
 
     def table(self) -> str:
         board = self.scoreboard()
@@ -225,151 +332,12 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def run_fuzz(n: int, seed: int,
-             jobs: int = 1,
+def run_fuzz(n: int, seed: int, jobs: int = 1,
              executor: Optional[SweepExecutor] = None,
-             schemes: Sequence[str] = DEFAULT_SCHEMES,
-             corpus_dir=None,
-             reduce_divergences: bool = True,
-             round_size: int = ROUND_SIZE,
-             max_instructions: int = 2_000_000,
-             wallclock_budget: Optional[float] = 60.0,
-             reduce_checks: int = 300,
-             heartbeat=None,
-             engine_lockstep: bool = False,
-             spec_lockstep: bool = False,
-             stop=None) -> FuzzReport:
-    """Run a fuzz campaign of ``n`` programs from ``seed``.
-
-    Deterministic: the report (and its JSON rendering) is byte-identical
-    for the same ``(seed, n, round_size, schemes)`` at any ``jobs``.
-    ``heartbeat`` (a :class:`repro.obs.heartbeat.Heartbeat`) receives
-    rate-limited progress ticks as probe groups complete — stderr/
-    telemetry only, never a byte of the report.
-
-    ``engine_lockstep`` (opt-in) adds the ref-vs-fast engine oracle to
-    every probe; ``spec_lockstep`` (opt-in) adds the executable golden
-    spec (``repro.spec``) co-simulated against the reference engine.
-    Both default off, keeping existing reports byte-identical.
-
-    ``stop`` (optional zero-argument callable, e.g. a SIGTERM flag) is
-    polled at every round boundary and between divergence reductions;
-    once True, the campaign finalises a valid truncated report over
-    the rounds that completed, marked ``interrupted=True``.
-    """
-    schemes = tuple(schemes)
-    report = FuzzReport(seed=seed, n=n, schemes=schemes,
-                        round_size=round_size)
-    coverage = FuzzCoverage()
-    weights: Optional[Dict[str, float]] = None
-    divergent: List[Tuple[FuzzCell, List[Divergence]]] = []
-
-    done = 0
-    while done < n:
-        if stop is not None and stop():
-            report.interrupted = True
-            break
-        batch = min(round_size, n - done)
-        plan = plan_programs(seed, batch, start=done)
-        cells = []
-        for index, kind in plan:
-            program = generate_program(seed, index, kind, weights)
-            cells.append((program, FuzzCell(
-                index=index, name=program.name, kind=program.kind,
-                expect=program.expect, source=program.source,
-                schemes=schemes, max_instructions=max_instructions,
-                wallclock_budget=wallclock_budget,
-                engine_lockstep=engine_lockstep,
-                spec_lockstep=spec_lockstep)))
-        progress = None
-        if heartbeat is not None:
-            base_done = done
-
-            def progress(round_done, _total, _base=base_done):
-                heartbeat.tick(
-                    _base + round_done,
-                    divergent_programs=len(divergent),
-                    phase="probe")
-        results = run_cells([cell for _, cell in cells],
-                            executor=executor, jobs=jobs,
-                            progress=progress)
-        # Fold results back in index order — the only order that exists
-        # as far as the report is concerned, whatever jobs= was.
-        for (program, cell), result in zip(cells, results):
-            if result.measured:
-                verdicts = result.extra["verdicts"]
-                found = [Divergence(**d)
-                         for d in result.extra["divergences"]]
-                coverage.observe(program.features,
-                                 result.extra["functions"])
-                status = result.extra["statuses"].get(schemes[-1], "")
-            else:
-                envelope = _envelope_divergence(result)
-                verdicts = {"harness": "divergence"}
-                found = [envelope]
-                status = result.status
-            report.programs.append({
-                "index": cell.index,
-                "name": cell.name,
-                "kind": cell.kind,
-                "expect": cell.expect,
-                "status": status,
-                "verdicts": verdicts,
-                "findings": len(found),
-            })
-            if found:
-                divergent.append((cell, found))
-        weights = coverage.weights()
-        done += batch
-
-    report.coverage = coverage.to_dict()
-
-    corpus = Path(corpus_dir) if corpus_dir else None
-    if corpus is not None:
-        corpus.mkdir(parents=True, exist_ok=True)
-    for cell, found in divergent:
-        if stop is not None and stop() and not report.interrupted:
-            # Keep recording the (cheap) divergence facts; only skip
-            # the remaining expensive ddmin reductions.
-            report.interrupted = True
-            reduce_divergences = False
-        if heartbeat is not None:
-            heartbeat.tick(n, divergent_programs=len(divergent),
-                           phase="reduce", reducing=cell.name)
-        record = {
-            "index": cell.index,
-            "name": cell.name,
-            "kind": cell.kind,
-            "expect": cell.expect,
-            "divergences": [d.to_dict() for d in found],
-            "source": cell.source,
-        }
-        wanted = {d.signature for d in found}
-        reducible = reduce_divergences and not any(
-            d.kind in ("hang", "worker_died") for d in found)
-        if reducible:
-            from repro.fuzz.reduce import reduce_source
-
-            def predicate(candidate: str,
-                          _wanted=frozenset(wanted)) -> bool:
-                got = _signatures_of(candidate, cell.kind, cell.expect,
-                                     schemes, max_instructions,
-                                     engine_lockstep=engine_lockstep,
-                                     spec_lockstep=spec_lockstep)
-                return _wanted <= got
-
-            shrunk = reduce_source(cell.source, predicate,
-                                   max_checks=reduce_checks)
-            record["reduced_source"] = shrunk.source
-            record["reduced_statements"] = shrunk.statements
-            record["reduce_checks"] = shrunk.checks
-        report.divergences.append(record)
-        if corpus is not None:
-            stem = corpus / cell.name
-            stem.with_suffix(".c").write_text(cell.source)
-            if "reduced_source" in record:
-                (corpus / f"{cell.name}.min.c").write_text(
-                    record["reduced_source"])
-            stem.with_suffix(".json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return report
+             heartbeat=None, stop=None, **options) -> FuzzReport:
+    """Plan a :class:`FuzzReport` of ``n`` programs from ``seed``
+    (``options`` are its planning arguments) and run it; see
+    :meth:`repro.harness.campaign.Campaign.run` for ``executor``,
+    ``jobs``, ``heartbeat`` and ``stop``."""
+    return FuzzReport(n, seed, **options).run(executor, jobs, heartbeat,
+                                              stop)

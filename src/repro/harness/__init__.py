@@ -4,6 +4,8 @@
   perf.oh (Eq. 7) and speedup (Eq. 8) math, detection classification;
 * :mod:`repro.harness.parallel` — process-pool sweep executor with
   per-cell failure envelopes (``--jobs N``);
+* :mod:`repro.harness.campaign` — the campaign skeleton (plan →
+  batches → fold → report) under fuzz, faultcampaign and conform;
 * :mod:`repro.harness.compile_cache` — content-addressed compile cache
   (``compile.cache.*`` counters);
 * :mod:`repro.harness.coverage` — Fig. 6 Juliet coverage evaluation;

@@ -12,32 +12,30 @@ both worlds. It builds picklable cells for the sweep executor:
   the run-level observables (status / exit code / instret / output /
   trap class / trap pc) compared against the agreed outcome.
 
-:func:`run_conform` fans the cells through :class:`SweepExecutor`
-(same heartbeat + telemetry discipline as the fuzz and fault-injection
-campaigns) and folds the envelopes into a deterministic
-``repro.spec/v1`` report: results appear in cell input order, no
-timestamps or host state, so same-seed runs are byte-identical at any
-``--jobs``.
+:class:`ConformReport` is the campaign: it runs the cells on the
+:mod:`repro.harness.campaign` skeleton (the same executor, heartbeat
+and interruption discipline as the fuzz and fault-injection campaigns)
+and folds the envelopes into a deterministic ``repro.spec/v1`` report:
+results appear in cell input order, no timestamps or host state, so
+same-seed runs are byte-identical at any ``--jobs``.
 
 Divergence is *data* here (campaigns complete and report), and becomes
 an exit code only at the CLI (``repro conform`` exits
-``EXIT_SPEC_DIVERGENCE``). Like the other campaigns it is
-interruptible: a ``stop`` flag yields a valid truncated report.
+``EXIT_SPEC_DIVERGENCE``). A ``stop`` flag yields a valid truncated
+report.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
 from repro.harness.compile_cache import process_cache
-from repro.harness.parallel import CellResult, SweepExecutor, run_cells
+from repro.harness.campaign import Campaign, chunks
+from repro.harness.parallel import CellResult, SweepExecutor
 from repro.harness.runner import WORKLOADS
 from repro.isa.instructions import SPEC_TABLE
-from repro.obs.heartbeat import Heartbeat
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import make_machine
 from repro.spec import geometry
 from repro.spec.equiv import all_mnemonics, run_mnemonic
@@ -57,9 +55,8 @@ FUZZ_SCHEME = "hwst128"
 
 __all__ = [
     "REPORT_SCHEMA", "DEFAULT_SEED", "CONFORM_SCHEMES", "EquivBench",
-    "ConformEquivCell", "ConformLockstepCell", "build_cells",
-    "run_conform", "run_spec_lockstep", "report_to_json",
-    "divergences_of",
+    "ConformEquivCell", "ConformLockstepCell", "ConformReport",
+    "build_cells", "run_conform", "run_spec_lockstep",
 ]
 
 
@@ -264,134 +261,135 @@ def build_cells(workloads: Optional[Sequence[str]] = None,
     return cells
 
 
-def _fold_report(cells: Sequence[object], results: Sequence[CellResult],
-                 seed: int, corpus: dict) -> dict:
-    equiv_section: Dict[str, dict] = {}
-    lockstep_rows: List[dict] = []
-    exercised: set = set()
-    total_retires = 0
-    total_cases = 0
-    total_divergences = 0
-    for cell, result in zip(cells, results):
-        if isinstance(cell, ConformEquivCell):
-            divergences = result.extra.get("divergences", [])
-            if result.status in ("error", "hang", "worker_died"):
-                divergences = [{"case": cell.mnemonic,
-                                "deltas": [{"field": "cell.status",
-                                            "spec": "ok",
-                                            "iss": result.status}],
-                                "error": result.error}]
-            cases = result.extra.get("cases", 0)
-            equiv_section[cell.mnemonic] = {
-                "cases": cases, "divergences": divergences}
-            total_cases += cases
-            total_divergences += len(divergences)
-        else:
-            divergence = result.extra.get("divergence")
-            if result.status in ("error", "hang", "worker_died"):
-                divergence = {"reason": result.status,
-                              "error": result.error}
-            row = {
-                "tag": result.tag,
-                "scheme": result.scheme,
-                "status": result.status,
-                "exit_code": result.exit_code,
-                "retires": result.instret,
-                "trap_class": result.trap_class,
-                "trap_pc": result.trap_pc,
-                "divergence": divergence,
-            }
-            lockstep_rows.append(row)
-            exercised.update(result.extra.get("mnemonics", ()))
-            total_retires += result.instret
-            if divergence is not None:
-                total_divergences += 1
-    never = sorted(set(SPEC_TABLE) - exercised)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "seed": seed,
-        "corpus": corpus,
-        "equiv": equiv_section,
-        "lockstep": lockstep_rows,
-        "coverage": {
-            "exercised": sorted(exercised),
-            "never_exercised": never,
-        },
-        "totals": {
-            "cells": len(lockstep_rows) + len(equiv_section),
-            "equiv_cases": total_cases,
-            "retires": total_retires,
-            "divergences": total_divergences,
-            "mnemonics_covered": len(exercised),
-        },
-    }
-    return report
+class ConformReport(Campaign):
+    """A planned conformance campaign (see :func:`build_cells`); it
+    folds into the ``repro.spec/v1`` report: results in cell input
+    order, no timestamps or host state, so same-seed runs are
+    byte-identical at any ``--jobs``."""
+
+    label = "conform"
+
+    def __init__(self, workloads: Optional[Sequence[str]] = None,
+                 schemes: Sequence[str] = CONFORM_SCHEMES,
+                 scale: str = "small",
+                 fuzz_count: int = DEFAULT_FUZZ_COUNT,
+                 seed: int = DEFAULT_SEED,
+                 equiv: bool = True,
+                 lockstep: bool = True,
+                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS):
+        self.cells = build_cells(
+            workloads=workloads, schemes=schemes, scale=scale,
+            fuzz_count=fuzz_count, seed=seed, equiv=equiv,
+            lockstep=lockstep, max_instructions=max_instructions)
+        self.total = len(self.cells)
+        self.seed = seed
+        self.lockstep = lockstep
+        self.corpus = {
+            "schemes": list(schemes) if lockstep else [],
+            "scale": scale,
+            "workloads": (sorted(workloads) if workloads
+                          else sorted(WORKLOADS)) if lockstep else [],
+            "fuzz_count": fuzz_count if lockstep else 0,
+            "fuzz_scheme": FUZZ_SCHEME,
+            "equiv_mnemonics": len(all_mnemonics()) if equiv else 0,
+            "max_instructions": max_instructions,
+        }
+        self.equiv: Dict[str, dict] = {}
+        self.rows: List[dict] = []
+        self.exercised: set = set()
+        self.totals = {"cells": 0, "equiv_cases": 0, "retires": 0,
+                       "divergences": 0, "mnemonics_covered": 0}
+
+    def batches(self):
+        return chunks(self.cells)
+
+    def fold(self, batch, results) -> None:
+        totals = self.totals
+        for cell, result in zip(batch, results):
+            if isinstance(cell, ConformEquivCell):
+                divergences = result.extra.get("divergences", [])
+                if not result.measured:
+                    divergences = [{"case": cell.mnemonic,
+                                    "deltas": [{"field": "cell.status",
+                                                "spec": "ok",
+                                                "iss": result.status}],
+                                    "error": result.error}]
+                cases = result.extra.get("cases", 0)
+                self.equiv[cell.mnemonic] = {
+                    "cases": cases, "divergences": divergences}
+                totals["equiv_cases"] += cases
+                totals["divergences"] += len(divergences)
+            else:
+                divergence = result.extra.get("divergence")
+                if not result.measured:
+                    divergence = {"reason": result.status,
+                                  "error": result.error}
+                self.rows.append({
+                    "tag": result.tag,
+                    "scheme": result.scheme,
+                    "status": result.status,
+                    "exit_code": result.exit_code,
+                    "retires": result.instret,
+                    "trap_class": result.trap_class,
+                    "trap_pc": result.trap_pc,
+                    "divergence": divergence,
+                })
+                self.exercised.update(result.extra.get("mnemonics", ()))
+                totals["retires"] += result.instret
+                if divergence is not None:
+                    totals["divergences"] += 1
+        totals["cells"] = len(self.rows) + len(self.equiv)
+        totals["mnemonics_covered"] = len(self.exercised)
+
+    def count(self, registry) -> None:
+        scope = registry.scope("spec")
+        scope.counter("retires").inc(self.totals["retires"])
+        scope.counter("divergences").inc(self.totals["divergences"])
+        scope.gauge("mnemonics_covered").set(
+            self.totals["mnemonics_covered"])
+
+    @property
+    def never_exercised(self) -> List[str]:
+        return sorted(set(SPEC_TABLE) - self.exercised)
+
+    @property
+    def clean(self) -> bool:
+        return not self.totals["divergences"]
+
+    def document(self) -> dict:
+        return {
+            "schema": REPORT_SCHEMA,
+            "seed": self.seed,
+            "corpus": self.corpus,
+            "equiv": self.equiv,
+            "lockstep": self.rows,
+            "coverage": {
+                "exercised": sorted(self.exercised),
+                "never_exercised": self.never_exercised,
+            },
+            "totals": dict(self.totals),
+        }
+
+    def table(self) -> str:
+        totals = self.totals
+        lines = [f"conform: {totals['cells']} cells, "
+                 f"{totals['equiv_cases']} equivalence cases, "
+                 f"{totals['retires']} lockstep retires, "
+                 f"{totals['mnemonics_covered']} mnemonics covered, "
+                 f"{totals['divergences']} divergences"]
+        never = self.never_exercised
+        if never and self.lockstep:
+            lines.append(f"never exercised by the lockstep corpus "
+                         f"({len(never)}): " + " ".join(never))
+        return "\n".join(lines)
 
 
-def run_conform(workloads: Optional[Sequence[str]] = None,
-                schemes: Sequence[str] = CONFORM_SCHEMES,
-                scale: str = "small",
-                fuzz_count: int = DEFAULT_FUZZ_COUNT,
-                seed: int = DEFAULT_SEED,
-                jobs: int = 1,
-                equiv: bool = True,
-                lockstep: bool = True,
-                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                registry: Optional[MetricsRegistry] = None,
-                executor: Optional[SweepExecutor] = None,
-                heartbeat: Optional[Heartbeat] = None,
-                stop=None) -> dict:
-    """Run the conformance campaign; returns the ``repro.spec/v1``
-    report (divergence is data here, the CLI turns it into an exit
-    code). Byte-identical for a fixed seed at any ``jobs``.
-
-    ``heartbeat`` (its ``total`` becomes the cell count) gets progress
-    ticks. Once ``stop`` (see :func:`~repro.harness.parallel.run_cells`)
-    fires, the report covers the completed cells and carries
-    ``interrupted``/``completed`` — keys a complete report never has.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    cells = build_cells(workloads=workloads, schemes=schemes, scale=scale,
-                        fuzz_count=fuzz_count, seed=seed, equiv=equiv,
-                        lockstep=lockstep,
-                        max_instructions=max_instructions)
-    progress = None
-    if heartbeat is not None:
-        heartbeat.total = len(cells)
-        progress = heartbeat.progress
-    own_executor = executor is None
-    if executor is None:
-        executor = SweepExecutor(jobs=jobs, registry=registry)
-    try:
-        results = run_cells(cells, executor, progress=progress, stop=stop)
-    finally:
-        if own_executor:
-            executor.close()
-    corpus = {
-        "schemes": list(schemes) if lockstep else [],
-        "scale": scale,
-        "workloads": (sorted(workloads) if workloads
-                      else sorted(WORKLOADS)) if lockstep else [],
-        "fuzz_count": fuzz_count if lockstep else 0,
-        "fuzz_scheme": FUZZ_SCHEME,
-        "equiv_mnemonics": len(all_mnemonics()) if equiv else 0,
-        "max_instructions": max_instructions,
-    }
-    report = _fold_report(cells, results, seed=seed, corpus=corpus)
-    if len(results) < len(cells):
-        report["interrupted"] = True
-        report["completed"] = len(results)
-    scope = registry.scope("spec")
-    scope.counter("retires").inc(report["totals"]["retires"])
-    scope.counter("divergences").inc(report["totals"]["divergences"])
-    scope.gauge("mnemonics_covered").set(
-        report["totals"]["mnemonics_covered"])
-    return report
-
-
-def divergences_of(report: dict) -> int:
-    return int(report["totals"]["divergences"])
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def run_conform(executor: Optional[SweepExecutor] = None, jobs: int = 1,
+                heartbeat=None, stop=None, **options) -> dict:
+    """Plan a :class:`ConformReport` (``options`` are its planning
+    arguments), run it and return the ``repro.spec/v1`` report;
+    divergence is data here, the CLI turns it into an exit code. See
+    :meth:`repro.harness.campaign.Campaign.run` for ``executor``,
+    ``jobs``, ``heartbeat`` and ``stop``."""
+    return ConformReport(**options).run(executor, jobs, heartbeat,
+                                        stop).to_dict()

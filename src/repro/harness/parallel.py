@@ -55,7 +55,7 @@ from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.sim import make_machine
 
 __all__ = ["CellSpec", "CellResult", "SweepExecutor", "run_cells",
-           "STOP_CHUNK", "WallclockTimeout", "wallclock_guard",
+           "WallclockTimeout", "wallclock_guard",
            "DeadlineGuard", "STATUS_HANG", "STATUS_WORKER_DIED"]
 
 #: Envelope statuses minted by the executor itself (never by the
@@ -527,38 +527,11 @@ class SweepExecutor:
         return line
 
 
-#: Cells per submission under a ``stop`` flag (see :func:`run_cells`);
-#: a multiple of the fault campaign's target count, keeping grouping.
-STOP_CHUNK = 16
-
-
 def run_cells(cells: Sequence[CellSpec],
               executor: Optional[SweepExecutor] = None,
-              jobs: int = 1,
-              progress: Optional[Callable[[int, int], None]] = None,
-              stop: Optional[Callable[[], bool]] = None,
-              ) -> List[CellResult]:
-    """Run cells on ``executor``, or a transient one (closed after).
-
-    With ``stop`` (a zero-argument flag, e.g. set by a SIGTERM handler)
-    cells go in chunks of :data:`STOP_CHUNK`; the flag is polled before
-    each, and once True only the completed prefix's results return.
-    """
+              jobs: int = 1) -> List[CellResult]:
+    """Run cells on ``executor``, or a transient one (closed after)."""
     if executor is None:
         with SweepExecutor(jobs=jobs) as transient:
-            return run_cells(cells, transient, progress=progress,
-                             stop=stop)
-    if stop is None:
-        return executor.run(cells, progress=progress)
-    cells = list(cells)
-    results: List[CellResult] = []
-    for start in range(0, len(cells), STOP_CHUNK):
-        if stop():
-            break
-        chunk_progress = None
-        if progress is not None:
-            def chunk_progress(done, _total, _base=start):
-                progress(_base + done, len(cells))
-        results.extend(executor.run(cells[start:start + STOP_CHUNK],
-                                    progress=chunk_progress))
-    return results
+            return transient.run(cells)
+    return executor.run(cells)

@@ -13,8 +13,9 @@ Each event is a single JSON line on ``stream`` (stderr by default)::
 and, when a registry / tracer is attached, lands as
 ``obs.campaign.*`` gauges and a ``campaign``-category trace event.
 Heartbeats never touch the campaign's deterministic report documents
-(``repro.fuzz/v1`` / ``repro.faultinject/v1``): progress goes to
-stderr/telemetry only, so same-seed byte-identity is preserved.
+(``repro.fuzz/v1``, ``repro.faultinject/v1``, ``repro.spec/v1``):
+progress goes to stderr/telemetry only, so same-seed byte-identity is
+preserved.
 
 Short runs stay silent: nothing is emitted until ``interval_s`` has
 elapsed, so test suites and smoke jobs see no extra output.
@@ -112,9 +113,3 @@ class Heartbeat:
         if tracer is not None and tracer.wants("campaign"):
             tracer.emit("campaign", self.label, ts=elapsed * 1e6,
                         args=payload)
-
-    def progress(self, done: int, total: int) -> None:
-        """Adapter matching the executor's ``progress(done, total)``
-        callback shape (``total`` is re-asserted from the executor's
-        view but the constructor's value wins for ETA math)."""
-        self.tick(done)

@@ -291,39 +291,30 @@ class TestRobustnessExitCodes:
             errors.EXIT_SIMLIMIT
 
 
+#: Per campaign subcommand: extra argv, report schema, and the rows of
+#: its report that ``completed`` counts. Each outlives its first 0.1 s heartbeat by at
+#: least one more batch (fuzz: 25-program rounds; the others: 16 cells).
+_CAMPAIGNS = {
+    "fuzz": (["--n", "50"], "repro.fuzz/v1",
+             lambda report: len(report["programs"])),
+    "faultcampaign": (["--n", "200"], "repro.faultinject/v1",
+                      lambda report: len(report["injections"])),
+    "conform": ([], "repro.spec/v1",
+                lambda report: report["totals"]["cells"]),
+}
+
+
 class TestGracefulInterrupt:
-    def test_sigterm_flushes_truncated_faultcampaign(self, tmp_path):
-        """SIGTERM mid-campaign: the current chunk finishes, a valid
-        truncated report reaches --out, and the exit code is 12."""
+    @pytest.mark.parametrize("command", sorted(_CAMPAIGNS))
+    def test_sigterm_flushes_truncated_report(self, command, tmp_path):
+        """SIGTERM mid-campaign: the current batch finishes, a valid
+        truncated report over the completed cells reaches --out, and
+        the exit code is 12."""
+        argv, schema, rows = _CAMPAIGNS[command]
         out = tmp_path / "report.json"
         env = dict(os.environ, PYTHONPATH=_SRC)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "faultcampaign",
-             "--n", "200", "--heartbeat", "0.1", "--out", str(out)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=env, text=True)
-        try:
-            first = proc.stderr.readline()   # first heartbeat tick
-            assert first.strip(), "campaign produced no heartbeat"
-            proc.send_signal(signal.SIGTERM)
-            _, stderr_rest = proc.communicate(timeout=180)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-        assert proc.returncode == errors.EXIT_INTERRUPTED
-        assert "interrupt" in (first + stderr_rest)
-        report = json.loads(out.read_text())
-        assert report["interrupted"] is True
-        assert report["completed"] == len(report["injections"])
-        assert 0 < report["completed"] < 200
-
-    def test_sigterm_flushes_truncated_conform(self, tmp_path):
-        """Same contract for ``repro conform``: exit 12 and a valid
-        truncated repro.spec/v1 report over the completed cells."""
-        out = tmp_path / "conform.json"
-        env = dict(os.environ, PYTHONPATH=_SRC)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "conform",
+            [sys.executable, "-m", "repro", command, *argv,
              "--heartbeat", "0.1", "--out", str(out)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=env, text=True)
@@ -338,8 +329,8 @@ class TestGracefulInterrupt:
         assert proc.returncode == errors.EXIT_INTERRUPTED
         assert "interrupt" in (first + stderr_rest)
         report = json.loads(out.read_text())
-        assert report["schema"] == "repro.spec/v1"
+        assert report["schema"] == schema
         assert report["interrupted"] is True
-        assert report["completed"] == report["totals"]["cells"]
+        assert report["completed"] == rows(report)
         total = json.loads(first)["total"]
         assert 0 < report["completed"] < total

@@ -28,17 +28,16 @@ import pytest
 import repro.spec
 from repro.core.compression import MetadataCompressor, MetadataRangeError
 from repro.core.config import FieldWidths, HwstConfig
+from repro.harness.campaign import STOP_CHUNK, report_json
 from repro.harness.conform import (
     EquivBench,
     build_cells,
-    report_to_json,
     run_conform,
 )
-from repro.harness.parallel import STOP_CHUNK
+from repro.harness.parallel import SweepExecutor
 from repro.harness.runner import WORKLOADS
 from repro.isa.instructions import SPEC_TABLE
 from repro.obs.heartbeat import Heartbeat
-from repro.obs.metrics import MetricsRegistry
 from repro.schemes import compile_source
 from repro.sim import make_machine
 from repro.sim.machine import Machine
@@ -311,22 +310,23 @@ class TestTrapParity:
 # ---------------------------------------------------------------------------
 
 class TestConformReport:
-    def _run(self, jobs, registry=None):
+    def _run(self, jobs, executor=None):
         return run_conform(workloads=["treeadd"],
                            schemes=["hwst128_tchk"],
                            fuzz_count=4, seed=SEED, jobs=jobs,
-                           equiv=False, registry=registry)
+                           equiv=False, executor=executor)
 
     def test_byte_identical_across_jobs_and_reruns(self):
-        first = report_to_json(self._run(jobs=1))
-        again = report_to_json(self._run(jobs=1))
-        pooled = report_to_json(self._run(jobs=2))
+        first = report_json(self._run(jobs=1))
+        again = report_json(self._run(jobs=1))
+        pooled = report_json(self._run(jobs=2))
         assert first == again
         assert first == pooled
 
     def test_report_shape_and_obs_counters(self):
-        registry = MetricsRegistry()
-        report = self._run(jobs=1, registry=registry)
+        with SweepExecutor(jobs=1) as executor:
+            report = self._run(jobs=1, executor=executor)
+        registry = executor.registry
         assert report["schema"] == "repro.spec/v1"
         assert report["totals"]["divergences"] == 0
         assert report["totals"]["retires"] > 0
